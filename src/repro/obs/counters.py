@@ -28,7 +28,11 @@ class Counters:
     Attributes
     ----------
     events:
-        Simulator events handled (every kind, including wakes).
+        Job-level simulator events handled (every kind, including
+        wakes).  One FINISH queue entry carries the members of a start
+        cohort that share a finish time and counts one event per
+        member, stale members included — the count one entry per job
+        gives (DESIGN §13).
     scheduling_passes:
         Scheduling passes executed (one per event batch).
     submits:

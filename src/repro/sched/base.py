@@ -4,7 +4,8 @@ A scheduler owns the native queue.  The engine calls :meth:`submit` and
 :meth:`on_finish` as events arrive and :meth:`schedule` once per
 scheduling pass; the scheduler returns the jobs that should start *now*
 (the engine performs the actual allocation so it can schedule the
-completion events).
+completion events).  Completions arrive in batches: the members of one
+start cohort that finish at the same instant are reported in one call.
 
 The one extra hook beyond a textbook scheduler is
 :meth:`head_start_estimate`: the paper's ``backfillWallTime`` — when the
@@ -16,7 +17,7 @@ controller (Figure 1) compares it against the interstitial job runtime.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.jobs import Job
 from repro.sim.state import ClusterState
@@ -64,8 +65,9 @@ class Scheduler(abc.ABC):
         """Enqueue a newly arrived native job."""
 
     @abc.abstractmethod
-    def on_finish(self, job: Job, t: float) -> None:
-        """Observe a job completion (fair-share charging, predictors)."""
+    def on_finish(self, jobs: Sequence[Job], t: float) -> None:
+        """Observe jobs completing together at ``t``, in completion
+        order (fair-share charging, predictors)."""
 
     @abc.abstractmethod
     def schedule(self, t: float, cluster: ClusterState) -> List[Job]:

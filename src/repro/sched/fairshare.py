@@ -28,7 +28,7 @@ cached priority ordering is still valid (DESIGN §13).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -101,14 +101,26 @@ class FairShareTracker:
             return value
         return value * math.exp(-self._decay_rate * (t - since))
 
-    def charge(self, entity: str, amount: float, t: float) -> None:
-        """Add ``amount`` (CPU-seconds) of usage for ``entity`` at ``t``."""
-        if amount < 0:
-            raise ConfigurationError(f"amount must be >= 0, got {amount}")
+    def charge(self, entity: str, amounts: Sequence[float], t: float) -> None:
+        """Add ``amounts`` (CPU-seconds each, in order) of usage for
+        ``entity`` at ``t``.
+
+        The stored usage is decayed to ``t`` once and the amounts are
+        added to it one by one: the same float operations, in the same
+        order, as one charge per amount (a charge at the time of the
+        last update decays nothing), with one :attr:`version` bump.
+        """
+        value, since = self._usage.get(entity, (0.0, t))
+        value = self._decayed(value, since, t)
+        for amount in amounts:
+            if amount < 0:
+                raise ConfigurationError(
+                    f"amount must be >= 0, got {amount}"
+                )
+            value += amount
         if entity not in self._usage:
             self._share_cache = None  # population changed
-        value, since = self._usage.get(entity, (0.0, t))
-        self._usage[entity] = (self._decayed(value, since, t) + amount, t)
+        self._usage[entity] = (value, t)
         self._total_cache = (math.nan, 0.0)
         self.version += 1
 

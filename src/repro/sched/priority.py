@@ -21,7 +21,9 @@ Policies provided:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.jobs import Job
@@ -29,6 +31,16 @@ from repro.sched.fairshare import FairShareTracker
 
 #: Sort key type: higher compares first via sorting on the negated tuple.
 ScoreKey = Tuple[float, float, float]
+
+# Policies charge each run of consecutive same-entity jobs in one
+# ``FairShareTracker.charge`` call (a start cohort is one run).  A
+# charge at the tracker's last update time decays nothing, so this
+# applies exactly the float additions, in the same order, of one
+# charge per job, and entities first appear in the same order.
+_AREA = attrgetter("area")
+_USER = attrgetter("user")
+_GROUP = attrgetter("group")
+_GROUP_USER = attrgetter("group", "user")
 
 
 class PriorityPolicy(abc.ABC):
@@ -39,12 +51,12 @@ class PriorityPolicy(abc.ABC):
     #: bound while it waits.
     wait_weight: float = 1.0
 
-    #: Monotone counter bumped whenever a completion changes any job's
-    #: fair-share factor (i.e. on every charge).  Between bumps the
-    #: *relative order* of queued jobs is frozen: the wait component
-    #: ``wait_weight * (t - submit) / 86400`` shifts every score by the
-    #: same ``wait_weight * t / 86400``, and decayed-usage shares are
-    #: time-invariant between charges (see
+    #: Monotone counter bumped whenever completions change any job's
+    #: fair-share factor (once per charging ``on_finish`` call).  Between
+    #: bumps the *relative order* of queued jobs is frozen: the wait
+    #: component ``wait_weight * (t - submit) / 86400`` shifts every
+    #: score by the same ``wait_weight * t / 86400``, and decayed-usage
+    #: shares are time-invariant between charges (see
     #: :mod:`repro.sched.fairshare`).  Schedulers key cached queue
     #: orderings on this value; policies that charge in ``on_finish``
     #: MUST bump it there.
@@ -83,8 +95,9 @@ class PriorityPolicy(abc.ABC):
             job.job_id,
         )
 
-    def on_finish(self, job: Job, t: float) -> None:
-        """Observe a completion (default: nothing to charge)."""
+    def on_finish(self, jobs: Sequence[Job], t: float) -> None:
+        """Observe jobs completing together at ``t`` (default: nothing
+        to charge)."""
 
 
 class FcfsPolicy(PriorityPolicy):
@@ -120,8 +133,9 @@ class UserFairSharePolicy(PriorityPolicy):
     def fair_share_factor(self, job: Job, t: float) -> float:
         return self.weight * self.users.factor(job.user, t)
 
-    def on_finish(self, job: Job, t: float) -> None:
-        self.users.charge(job.user, job.area, t)
+    def on_finish(self, jobs: Sequence[Job], t: float) -> None:
+        for user, run in groupby(jobs, _USER):
+            self.users.charge(user, list(map(_AREA, run)), t)
         self.priority_version += 1
 
 
@@ -167,9 +181,11 @@ class HierarchicalFairSharePolicy(PriorityPolicy):
         u = self.user_weight * self._group_users(job.group).factor(job.user, t)
         return g + u
 
-    def on_finish(self, job: Job, t: float) -> None:
-        self.groups.charge(job.group, job.area, t)
-        self._group_users(job.group).charge(job.user, job.area, t)
+    def on_finish(self, jobs: Sequence[Job], t: float) -> None:
+        for group, run in groupby(jobs, _GROUP):
+            self.groups.charge(group, list(map(_AREA, run)), t)
+        for (group, user), run in groupby(jobs, _GROUP_USER):
+            self._group_users(group).charge(user, list(map(_AREA, run)), t)
         self.priority_version += 1
 
 
@@ -196,7 +212,9 @@ class UserGroupFairSharePolicy(PriorityPolicy):
             job.group, t
         ) + self.user_weight * self.users.factor(job.user, t)
 
-    def on_finish(self, job: Job, t: float) -> None:
-        self.groups.charge(job.group, job.area, t)
-        self.users.charge(job.user, job.area, t)
+    def on_finish(self, jobs: Sequence[Job], t: float) -> None:
+        for group, run in groupby(jobs, _GROUP):
+            self.groups.charge(group, list(map(_AREA, run)), t)
+        for user, run in groupby(jobs, _USER):
+            self.users.charge(user, list(map(_AREA, run)), t)
         self.priority_version += 1

@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.jobs import Job
 from repro.sched.backfill import select_conservative, select_easy
@@ -173,10 +173,11 @@ class QueueScheduler(Scheduler):
             # bisect keeps the order sorted without touching the rest.
             bisect.insort(self._order, (self.policy.rank_key(job, t), job))
 
-    def on_finish(self, job: Job, t: float) -> None:
-        self.policy.on_finish(job, t)
+    def on_finish(self, jobs: Sequence[Job], t: float) -> None:
+        self.policy.on_finish(jobs, t)
         if self.predictor is not None:
-            self.predictor.observe(job)
+            for job in jobs:
+                self.predictor.observe(job)
 
     @property
     def queue_length(self) -> int:

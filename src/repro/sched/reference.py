@@ -19,7 +19,7 @@ Do not optimize this class.  Its value is that it stays naive.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.jobs import Job
 from repro.sched.backfill import select_conservative, select_easy
@@ -60,10 +60,11 @@ class ReferenceQueueScheduler(Scheduler):
     def submit(self, job: Job, t: float) -> None:
         self._queue.append(job)
 
-    def on_finish(self, job: Job, t: float) -> None:
-        self.policy.on_finish(job, t)
+    def on_finish(self, jobs: Sequence[Job], t: float) -> None:
+        self.policy.on_finish(jobs, t)
         if self.predictor is not None:
-            self.predictor.observe(job)
+            for job in jobs:
+                self.predictor.observe(job)
 
     @property
     def queue_length(self) -> int:

@@ -305,7 +305,7 @@ class TenantAdmission:
         else:
             self._inflight.pop(tenant, None)
         if service_s > 0.0:
-            self.tracker.charge(tenant, service_s, self._clock())
+            self.tracker.charge(tenant, (service_s,), self._clock())
             self.predictor.observe_ratio(tenant, service_s, estimate_s)
 
     # ------------------------------------------------------------------

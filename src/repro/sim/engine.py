@@ -24,7 +24,7 @@ from repro.faults import FaultModel, RetryPolicy
 from repro.jobs import Job, JobState
 from repro.machines import Machine
 from repro.obs import NULL_RECORDER, Counters, PhaseTimers, TraceRecord, TraceRecorder
-from repro.sim.events import CalendarEventQueue, EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.outages import OutageSchedule
 from repro.sim.results import SimResult
 from repro.sim.state import ClusterState
@@ -61,29 +61,17 @@ class SimConfig:
         flag explicitly (the CLI threads it through
         :class:`~repro.experiments.context.RunContext`), keeping the
         engine free of global state.
-    event_queue:
-        Pending-event structure: ``"heap"`` (binary heap, the default)
-        or ``"calendar"`` (bucketed calendar queue).  Both implement the
-        identical ``(time, kind, seq)`` total order, so results are
-        byte-identical either way; ``benchmarks/bench_engine.py``
-        compares their throughput.
     """
 
     horizon: Optional[float] = None
     wake_interval: Optional[float] = None
     until: Optional[float] = None
     check_invariants: bool = False
-    event_queue: str = "heap"
 
     def __post_init__(self) -> None:
         if self.wake_interval is not None and self.wake_interval <= 0:
             raise ConfigurationError(
                 f"wake_interval must be positive, got {self.wake_interval}"
-            )
-        if self.event_queue not in ("heap", "calendar"):
-            raise ConfigurationError(
-                f"event_queue must be 'heap' or 'calendar', "
-                f"got {self.event_queue!r}"
             )
 
     @property
@@ -162,11 +150,7 @@ class Engine:
             self.scheduler.attach_timers(timers)
         self.counters = Counters()
         self.cluster = ClusterState(machine)
-        self.events = (
-            CalendarEventQueue()
-            if self.config.event_queue == "calendar"
-            else EventQueue()
-        )
+        self.events = EventQueue()
         self._finished: List[Job] = []
         self._killed: List[Job] = []
         self._dead_lettered: List[Job] = []
@@ -218,12 +202,19 @@ class Engine:
         kind: str,
         job: Optional[Job] = None,
         detail: Optional[int] = None,
+        busy: Optional[int] = None,
     ) -> None:
         """Emit one trace record snapshotting queue/occupancy state.
 
         Callers gate on ``self._rec`` so a disabled recorder never even
-        constructs the record.
+        constructs the record.  ``busy`` overrides the cluster's busy
+        count: a cohort is allocated or released in one call, and each
+        member's record shows the occupancy just after that member
+        alone, as if the members had been handled one at a time.
         """
+        cluster = self.cluster
+        if busy is None:
+            busy = cluster.busy_cpus
         self.recorder.record(
             TraceRecord(
                 time=time,
@@ -231,8 +222,8 @@ class Engine:
                 job_id=None if job is None else job.job_id,
                 cpus=None if job is None else job.cpus,
                 queue_depth=self.scheduler.queue_length,
-                busy_cpus=self.cluster.busy_cpus,
-                free_cpus=self.cluster.free_cpus,
+                busy_cpus=busy,
+                free_cpus=max(0, cluster.available_cpus - busy),
                 detail=detail,
             )
         )
@@ -353,20 +344,36 @@ class Engine:
             if self._rec:
                 self._record(t, "submit", job)
         elif event.kind is EventKind.FINISH:
-            job = event.payload
-            if job.state is not JobState.RUNNING:
-                return  # preempted or fault-killed; CPUs already free
-            if self._expected_finish.get(job.job_id) != event.time:
-                return  # stale completion of a killed, retried incarnation
-            self.cluster.finish(job)
-            self._expected_finish.pop(job.job_id, None)
-            job.finish_time = t
-            job.state = JobState.FINISHED
-            self.scheduler.on_finish(job, t)
-            self._finished.append(job)
-            self.counters.finishes += 1
+            # One entry carries the members of a start cohort that share
+            # this finish time.  The loop counted the entry once;
+            # ``Counters.events`` counts each member.
+            members = event.payload
+            self.counters.events += len(members) - 1
+            expected = self._expected_finish
+            # Members that were preempted or fault-killed (CPUs already
+            # free), resized (a newer entry holds their finish), or that
+            # belong to a killed, retried incarnation are stale here.
+            jobs = [
+                job
+                for job in members
+                if job.state is JobState.RUNNING
+                and expected.get(job.job_id) == t
+            ]
+            if not jobs:
+                return
+            busy = self.cluster.busy_cpus
+            self.cluster.finish(jobs)
+            for job in jobs:
+                del expected[job.job_id]
+                job.finish_time = t
+                job.state = JobState.FINISHED
+            self.scheduler.on_finish(jobs, t)
+            self._finished.extend(jobs)
+            self.counters.finishes += len(jobs)
             if self._rec:
-                self._record(t, "finish", job)
+                for job in jobs:
+                    busy -= job.cpus
+                    self._record(t, "finish", job, busy=busy)
         elif event.kind is EventKind.OUTAGE:
             self.cluster.apply_outage(int(event.payload))
             if self.cluster.down_cpus < 0:
@@ -440,7 +447,7 @@ class Engine:
             hits = int(
                 self._victim_rng.hypergeometric(busy_eff, idle_eff, sample)
             )
-        interstitial_victims: List[Job] = []
+        victims: List[Job] = []
         # Sort the candidate pool once per FAILURE event; deleting each
         # victim in place preserves the job-id ordering, so the seeded
         # draw sequence is exactly what per-iteration re-sorting gave.
@@ -455,13 +462,11 @@ class Engine:
             victim = recs[index].job
             del recs[index]
             hits -= min(hits, victim.cpus)
-            self.cluster.finish(victim)
-            self._expected_finish.pop(victim.job_id, None)
-            victim.state = JobState.KILLED
-            victim.finish_time = t
-            self.counters.fault_kills += 1
-            if self._rec:
-                self._record(t, "kill", victim)
+            victims.append(victim)
+        self._kill(victims, t, "kill")
+        self.counters.fault_kills += len(victims)
+        interstitial_victims: List[Job] = []
+        for victim in victims:
             if victim.is_interstitial:
                 self._killed.append(victim)
                 interstitial_victims.append(victim)
@@ -471,6 +476,23 @@ class Engine:
             if interstitial_victims:
                 self.interstitial.on_preempted(interstitial_victims, t)
             self.interstitial.on_fault(t, cpus)
+
+    def _kill(self, jobs: List[Job], t: float, kind: str) -> None:
+        """Release killed ``jobs`` in one :meth:`ClusterState.finish`
+        call, mark each one killed at ``t`` and emit its ``kind``
+        record.  Their pending FINISH entries go stale."""
+        if not jobs:
+            return
+        busy = self.cluster.busy_cpus
+        self.cluster.finish(jobs)
+        for job in jobs:
+            self._expected_finish.pop(job.job_id, None)
+            job.state = JobState.KILLED
+            job.finish_time = t
+        if self._rec:
+            for job in jobs:
+                busy -= job.cpus
+                self._record(t, kind, job, busy=busy)
 
     def _requeue_native(self, job: Job, t: float) -> None:
         """Record the wasted run fragment of a fault-killed native job
@@ -507,8 +529,7 @@ class Engine:
         self.counters.scheduling_passes += 1
         self._pass_starts = 0
         try:
-            for job in self.scheduler.schedule(t, self.cluster):
-                self._start(job, t)
+            self._start(self.scheduler.schedule(t, self.cluster), t)
             source = self.interstitial
             if source is None:
                 return
@@ -523,10 +544,8 @@ class Engine:
                 # their own round); the kill-only path keeps its
                 # historical single round.
                 while self._preempt_for_head(t):
-                    started = False
-                    for job in self.scheduler.schedule(t, self.cluster):
-                        self._start(job, t)
-                        started = True
+                    started = self.scheduler.schedule(t, self.cluster)
+                    self._start(started, t)
                     if not elastic or not started:
                         break
                     if self.scheduler.queue_length == 0:
@@ -538,11 +557,12 @@ class Engine:
                 self.counters.fault_throttle_passes += 1
                 if self._rec:
                     self._record(t, "fault_throttle")
-            for job in source.offer(t, self.cluster, self.scheduler):
+            jobs = source.offer(t, self.cluster, self.scheduler)
+            for job in jobs:
                 job.job_id = next(self._interstitial_ids)
                 if job.min_cpus is not None:
                     self.counters.molded_starts += 1
-                self._start(job, t)
+            self._start(jobs, t)
             if elastic:
                 for job, width in source.grow_requests(
                     t, self.cluster, self.scheduler
@@ -626,15 +646,10 @@ class Engine:
                 break
             if rec.job.state is not JobState.RUNNING:
                 continue  # defensive; shrinks never change state
-            self.cluster.finish(rec.job)
-            self._expected_finish.pop(rec.job.job_id, None)
-            rec.job.state = JobState.KILLED
-            rec.job.finish_time = t
             killed.append(rec.job)
             freed += rec.job.cpus
-            self.counters.preempt_kills += 1
-            if self._rec:
-                self._record(t, "preempt", rec.job)
+        self._kill(killed, t, "preempt")
+        self.counters.preempt_kills += len(killed)
         self._killed.extend(killed)
         source.on_preempted(killed, t)
         return True
@@ -677,7 +692,7 @@ class Engine:
         job.runtime = (t - started) + new_remaining
         job.estimate = job.runtime
         self.cluster.resize(job, old_cpus)
-        event = self.events.push(t + new_remaining, EventKind.FINISH, job)
+        event = self.events.push(t + new_remaining, EventKind.FINISH, [job])
         self._expected_finish[job.job_id] = event.time
         if grow:
             self.counters.grows += 1
@@ -687,16 +702,44 @@ class Engine:
             self._record(t, "grow" if grow else "shrink", job,
                          detail=old_cpus)
 
-    def _start(self, job: Job, t: float) -> None:
-        self.cluster.start(job, t)
-        job.start_time = t
-        job.state = JobState.RUNNING
-        event = self.events.push(t + job.runtime, EventKind.FINISH, job)
-        self._expected_finish[job.job_id] = event.time
-        self.counters.starts += 1
-        self._pass_starts += 1
+    def _start(self, jobs: List[Job], t: float) -> None:
+        """Start one *cohort*: the jobs one scheduling step (a native
+        ``schedule`` call or one interstitial ``offer``) hands over.
+
+        The cluster allocates the cohort in one call, and each run of
+        consecutive members that share a finish time gets one FINISH
+        entry.  Per-member entries would have been pushed back to back
+        with contiguous sequence numbers, so the single entry holds
+        their place in the ``(time, kind, seq)`` order (DESIGN §13).
+        """
+        if not jobs:
+            return
+        busy = self.cluster.busy_cpus
+        self.cluster.start(jobs, t)
+        expected = self._expected_finish
+        push = self.events.push
+        running = JobState.RUNNING
+        run: List[Job] = []
+        end = None
+        for job in jobs:
+            job.start_time = t
+            job.state = running
+            finish = t + job.runtime
+            expected[job.job_id] = finish
+            if finish == end:
+                run.append(job)
+            else:
+                if run:
+                    push(end, EventKind.FINISH, run)
+                run = [job]
+                end = finish
+        push(end, EventKind.FINISH, run)
+        self.counters.starts += len(jobs)
+        self._pass_starts += len(jobs)
         if self._rec:
-            self._record(t, "start", job)
+            for job in jobs:
+                busy += job.cpus
+                self._record(t, "start", job, busy=busy)
 
     def _collect(self, t: float) -> SimResult:
         unfinished: List[Job] = [

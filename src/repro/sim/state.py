@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CapacityError, SchedulingError, SimulationError
 from repro.jobs import Job, JobState
@@ -104,44 +104,88 @@ class ClusterState:
         return cpus <= self.free_cpus
 
     # ------------------------------------------------------------------
-    def start(self, job: Job, t: float) -> RunningJob:
-        """Allocate CPUs to ``job`` at time ``t``."""
-        if job.job_id in self.running:
-            raise SchedulingError(f"job {job.job_id} already running")
-        if job.cpus > self.machine.cpus:
-            raise CapacityError(
-                f"job {job.job_id} needs {job.cpus} CPUs but "
-                f"{self.machine.name} has only {self.machine.cpus}"
-            )
-        if job.cpus > self.free_cpus:
-            raise CapacityError(
-                f"job {job.job_id} needs {job.cpus} CPUs but only "
-                f"{self.free_cpus} are free"
-            )
-        record = RunningJob(job=job, start_time=t)
-        self.running[job.job_id] = record
-        self.busy_cpus += job.cpus
-        key = (record.estimated_finish, float(job.cpus), next(self._start_seq))
-        bisect.insort(self._release_keys, key)
-        self._release_key_of[job.job_id] = key
-        self.epoch += 1
-        return record
+    def start(self, jobs: Sequence[Job], t: float) -> None:
+        """Allocate CPUs to a *cohort* — ``jobs`` started together at
+        time ``t`` — with one joint capacity check and one epoch bump.
 
-    def finish(self, job: Job) -> RunningJob:
-        """Release the CPUs of ``job``."""
-        try:
-            record = self.running.pop(job.job_id)
-        except KeyError:
-            raise SchedulingError(
-                f"job {job.job_id} finished but was not running"
-            ) from None
-        self.busy_cpus -= job.cpus
+        A single job is a cohort of one.  The release timeline gains
+        one key per job, numbered in cohort order, so tie-breaking is
+        the same as starting the jobs one at a time (DESIGN §13).
+        """
+        running = self.running
+        width = 0
+        for job in jobs:
+            if job.job_id in running:
+                raise SchedulingError(f"job {job.job_id} already running")
+            width += job.cpus
+        if width > self.free_cpus:
+            raise CapacityError(
+                f"jobs {[job.job_id for job in jobs]} need {width} CPUs "
+                f"but only {self.free_cpus} of {self.machine.name}'s "
+                f"{self.machine.cpus} are free"
+            )
+        seq = self._start_seq
+        key_of = self._release_key_of
+        keys = []
+        before = len(running)
+        for job in jobs:
+            running[job.job_id] = RunningJob(job, t)
+            key = (t + job.estimate, float(job.cpus), next(seq))
+            key_of[job.job_id] = key
+            keys.append(key)
+        if len(running) - before != len(keys):
+            raise SchedulingError("a job appears twice in one cohort")
+        self.busy_cpus += width
+        self._insert_keys(keys)
+        self.epoch += 1
+
+    def finish(self, jobs: Sequence[Job]) -> None:
+        """Release the CPUs of ``jobs`` (finished or killed together)
+        with one epoch bump."""
+        running = self.running
+        key_of = self._release_key_of
+        width = 0
+        keys = []
+        for job in jobs:
+            if running.pop(job.job_id, None) is None:
+                raise SchedulingError(
+                    f"job {job.job_id} finished but was not running"
+                )
+            width += job.cpus
+            keys.append(key_of.pop(job.job_id))
+        self.busy_cpus -= width
         if self.busy_cpus < 0:
             raise SchedulingError("negative busy CPU count")
-        key = self._release_key_of.pop(job.job_id)
-        del self._release_keys[bisect.bisect_left(self._release_keys, key)]
+        self._remove_keys(keys)
         self.epoch += 1
-        return record
+
+    def _insert_keys(self, keys: List[Tuple[float, float, int]]) -> None:
+        """Insert new release keys, keeping the timeline sorted.  A
+        cohort of identical jobs has keys that differ only in their
+        consecutive sequence numbers, so they land as one slice."""
+        timeline = self._release_keys
+        if len(keys) > 1:
+            keys.sort()
+            at = bisect.bisect_left(timeline, keys[0])
+            if at == bisect.bisect_left(timeline, keys[-1], at):
+                timeline[at:at] = keys
+                return
+        for key in keys:
+            bisect.insort(timeline, key)
+
+    def _remove_keys(self, keys: List[Tuple[float, float, int]]) -> None:
+        """Delete release keys; a finishing cohort's keys are adjacent
+        in the timeline, so they leave as one slice."""
+        timeline = self._release_keys
+        if len(keys) > 1:
+            keys.sort()
+            at = bisect.bisect_left(timeline, keys[0])
+            end = at + len(keys)
+            if timeline[at:end] == keys:
+                del timeline[at:end]
+                return
+        for key in keys:
+            del timeline[bisect.bisect_left(timeline, key)]
 
     def resize(self, job: Job, old_cpus: int) -> RunningJob:
         """Re-account a running elastic job whose width (and estimate)

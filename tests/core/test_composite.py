@@ -37,7 +37,7 @@ def controller(machine, cpus=2, runtime=100.0, n_jobs=None, **kwargs):
 class TestBudgetedView:
     def test_budget_reduces_free(self, machine):
         cluster = ClusterState(machine)
-        cluster.start(make_job(cpus=10), 0.0)
+        cluster.start([make_job(cpus=10)], 0.0)
         view = _BudgetedView(cluster, granted_cpus=20)
         assert view.free_cpus == 34
         assert view.busy_cpus == 30

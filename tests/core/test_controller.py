@@ -60,14 +60,14 @@ class TestFigure1Gate:
         assert all(j.kind is JobKind.INTERSTITIAL for j in jobs)
 
     def test_respects_free_cpus(self, small_machine, project, cluster):
-        cluster.start(make_job(cpus=59), 0.0)
+        cluster.start([make_job(cpus=59)], 0.0)
         ctrl = controller_for(small_machine, project)
         jobs = ctrl.offer(0.0, cluster, fcfs_scheduler())
         # floor(5 / 2) = 2.
         assert len(jobs) == 2
 
     def test_no_room_no_jobs(self, small_machine, project, cluster):
-        cluster.start(make_job(cpus=63), 0.0)
+        cluster.start([make_job(cpus=63)], 0.0)
         ctrl = controller_for(small_machine, project)
         assert ctrl.offer(0.0, cluster, fcfs_scheduler()) == []
 
@@ -78,7 +78,7 @@ class TestFigure1Gate:
         # runtime elapses -> no submission.
         sched = fcfs_scheduler()
         running = make_job(cpus=60, runtime=10.0, estimate=50.0)
-        cluster.start(running, 0.0)
+        cluster.start([running], 0.0)
         sched.submit(make_job(cpus=30), 0.0)
         ctrl = controller_for(small_machine, project)  # runtime 100 s
         assert ctrl.offer(0.0, cluster, sched) == []
@@ -88,7 +88,7 @@ class TestFigure1Gate:
     ):
         sched = fcfs_scheduler()
         running = make_job(cpus=60, runtime=10.0, estimate=5000.0)
-        cluster.start(running, 0.0)
+        cluster.start([running], 0.0)
         sched.submit(make_job(cpus=30), 0.0)
         ctrl = controller_for(small_machine, project)
         jobs = ctrl.offer(0.0, cluster, sched)
@@ -135,14 +135,14 @@ class TestUtilizationCap:
         assert len(jobs) == 16  # 32 CPUs / 2 per job
 
     def test_cap_counts_running_work(self, small_machine, project, cluster):
-        cluster.start(make_job(cpus=30), 0.0)
+        cluster.start([make_job(cpus=30)], 0.0)
         ctrl = controller_for(small_machine, project, max_utilization=0.5)
         jobs = ctrl.offer(0.0, cluster, fcfs_scheduler())
         assert len(jobs) == 1  # budget floor(32) - 30 = 2 -> one 2-wide job
 
     def test_cap_blocks_above_threshold(self, small_machine, project,
                                         cluster):
-        cluster.start(make_job(cpus=40), 0.0)
+        cluster.start([make_job(cpus=40)], 0.0)
         ctrl = controller_for(small_machine, project, max_utilization=0.5)
         assert ctrl.offer(0.0, cluster, fcfs_scheduler()) == []
 

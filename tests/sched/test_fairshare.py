@@ -1,5 +1,6 @@
 """Tests for decayed-usage fair-share accounting."""
 
+import struct
 
 import pytest
 from hypothesis import given
@@ -21,13 +22,13 @@ class TestValidation:
     def test_rejects_negative_charge(self):
         tracker = FairShareTracker()
         with pytest.raises(ConfigurationError):
-            tracker.charge("a", -5.0, 0.0)
+            tracker.charge("a", [-5.0], 0.0)
 
 
 class TestUsage:
     def test_charge_and_read(self):
         tracker = FairShareTracker()
-        tracker.charge("alice", 100.0, 0.0)
+        tracker.charge("alice", [100.0], 0.0)
         assert tracker.usage("alice", 0.0) == 100.0
 
     def test_unknown_entity_zero(self):
@@ -35,20 +36,20 @@ class TestUsage:
 
     def test_decay_half_life(self):
         tracker = FairShareTracker(half_life_s=100.0)
-        tracker.charge("alice", 80.0, 0.0)
+        tracker.charge("alice", [80.0], 0.0)
         assert tracker.usage("alice", 100.0) == pytest.approx(40.0)
         assert tracker.usage("alice", 200.0) == pytest.approx(20.0)
 
     def test_charges_accumulate_with_decay(self):
         tracker = FairShareTracker(half_life_s=100.0)
-        tracker.charge("alice", 80.0, 0.0)
-        tracker.charge("alice", 10.0, 100.0)
+        tracker.charge("alice", [80.0], 0.0)
+        tracker.charge("alice", [10.0], 100.0)
         assert tracker.usage("alice", 100.0) == pytest.approx(50.0)
 
     def test_usage_share(self):
         tracker = FairShareTracker()
-        tracker.charge("a", 30.0, 0.0)
-        tracker.charge("b", 10.0, 0.0)
+        tracker.charge("a", [30.0], 0.0)
+        tracker.charge("b", [10.0], 0.0)
         assert tracker.usage_share("a", 0.0) == pytest.approx(0.75)
         assert tracker.usage_share("b", 0.0) == pytest.approx(0.25)
 
@@ -59,8 +60,8 @@ class TestUsage:
 class TestTargetShares:
     def test_equal_shares_default(self):
         tracker = FairShareTracker()
-        tracker.charge("a", 1.0, 0.0)
-        tracker.charge("b", 1.0, 0.0)
+        tracker.charge("a", [1.0], 0.0)
+        tracker.charge("b", [1.0], 0.0)
         assert tracker.target_share("a") == pytest.approx(0.5)
 
     def test_explicit_shares(self):
@@ -70,7 +71,7 @@ class TestTargetShares:
 
     def test_newcomer_share(self):
         tracker = FairShareTracker()
-        tracker.charge("a", 1.0, 0.0)
+        tracker.charge("a", [1.0], 0.0)
         # A never-seen entity counts as one share against the population.
         assert tracker.target_share("new") == pytest.approx(0.5)
 
@@ -78,15 +79,15 @@ class TestTargetShares:
 class TestFactor:
     def test_underserved_positive(self):
         tracker = FairShareTracker()
-        tracker.charge("hog", 100.0, 0.0)
-        tracker.charge("idle", 0.0, 0.0)
+        tracker.charge("hog", [100.0], 0.0)
+        tracker.charge("idle", [0.0], 0.0)
         assert tracker.factor("idle", 0.0) > 0
         assert tracker.factor("hog", 0.0) < 0
 
     def test_factor_bounded(self):
         tracker = FairShareTracker()
-        tracker.charge("a", 1e9, 0.0)
-        tracker.charge("b", 0.0, 0.0)
+        tracker.charge("a", [1e9], 0.0)
+        tracker.charge("b", [0.0], 0.0)
         assert -1.0 <= tracker.factor("a", 0.0) <= 1.0
         assert -1.0 <= tracker.factor("b", 0.0) <= 1.0
 
@@ -94,8 +95,8 @@ class TestFactor:
         # Equal lifetime usage, but hog's is old: decay makes the
         # recent user look like the over-consumer.
         tracker = FairShareTracker(half_life_s=100.0)
-        tracker.charge("hog", 1000.0, 0.0)
-        tracker.charge("recent", 1000.0, 500.0)
+        tracker.charge("hog", [1000.0], 0.0)
+        tracker.charge("recent", [1000.0], 500.0)
         assert tracker.usage_share("hog", 500.0) < 0.5
         assert tracker.factor("hog", 500.0) > tracker.factor("recent", 500.0)
 
@@ -118,7 +119,7 @@ def test_property_shares_sum_to_one(charges, probe):
     t = 0.0
     for entity, amount, dt in sorted(charges, key=lambda c: c[2]):
         t = dt
-        tracker.charge(entity, amount, t)
+        tracker.charge(entity, [amount], t)
     t_read = max(t, probe)
     total_share = sum(
         tracker.usage_share(e, t_read) for e in tracker.entities()
@@ -129,5 +130,64 @@ def test_property_shares_sum_to_one(charges, probe):
 @given(amount=st.floats(0.0, 1e9), dt=st.floats(0.0, 1e7))
 def test_property_decay_monotone(amount, dt):
     tracker = FairShareTracker(half_life_s=3600.0)
-    tracker.charge("a", amount, 0.0)
+    tracker.charge("a", [amount], 0.0)
     assert tracker.usage("a", dt) <= amount + 1e-9
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@given(
+    history=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]),
+            st.floats(0.0, 1e6),
+            st.floats(0.0, 1e5),
+        ),
+        max_size=10,
+    ),
+    batch=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.floats(0.0, 1e6)),
+        min_size=1,
+        max_size=30,
+    ),
+    gap=st.floats(0.0, 1e5),
+    probe=st.floats(0.0, 1e5),
+)
+def test_property_batched_charge_bit_identical(history, batch, gap, probe):
+    """Charging each entity's amounts in one call leaves usage and
+    factors bit-identical to charging the amounts one at a time."""
+    one, batched = (
+        FairShareTracker(half_life_s=3600.0, shares={"a": 2.0})
+        for _ in range(2)
+    )
+    t = 0.0
+    for entity, amount, step in history:
+        t += step
+        one.charge(entity, [amount], t)
+        batched.charge(entity, [amount], t)
+    t += gap
+    grouped = {}
+    for entity, amount in batch:
+        one.charge(entity, [amount], t)
+        grouped.setdefault(entity, []).append(amount)
+    for entity, amounts in grouped.items():
+        batched.charge(entity, amounts, t)
+    assert list(batched.entities()) == list(one.entities())
+    for entity in one.entities():
+        for when in (t, t + probe):
+            assert _bits(batched.usage(entity, when)) == _bits(
+                one.usage(entity, when)
+            )
+            assert _bits(batched.factor(entity, when)) == _bits(
+                one.factor(entity, when)
+            )
+
+
+def test_batched_charge_validates_before_charging():
+    tracker = FairShareTracker()
+    with pytest.raises(ConfigurationError):
+        tracker.charge("a", [5.0, -1.0], 0.0)
+    assert tracker.usage("a", 0.0) == 0.0
+    assert tracker.version == 0

@@ -226,38 +226,6 @@ def test_sweep_covers_the_config_space() -> None:
 
 
 # ----------------------------------------------------------------------
-# Event-queue implementations
-# ----------------------------------------------------------------------
-def _engine_run(event_queue: str) -> Tuple[SimResult, MemoryRecorder]:
-    machine = Machine(name="QueueBox", cpus=64, clock_ghz=1.0)
-    trace = random_native_trace(np.random.default_rng(42), machine, n_jobs=40)
-    for i, job in enumerate(trace):
-        job.job_id = i + 1
-    recorder = MemoryRecorder()
-    engine = Engine(
-        machine=machine,
-        scheduler=QueueScheduler(
-            policy=UserFairSharePolicy(),
-            backfill=BackfillMode.CONSERVATIVE,
-        ),
-        trace=[job.copy_unscheduled() for job in trace],
-        faults=FaultModel(mtbf=8.0e4, mttr=1800.0, cpus_per_node=4, seed=42),
-        config=SimConfig(event_queue=event_queue),
-        recorder=recorder,
-    )
-    return engine.run(), recorder
-
-
-def test_calendar_event_queue_byte_identical_to_heap() -> None:
-    """Both event-queue structures implement the same (time, kind, seq)
-    total order, so the whole run must be byte-identical."""
-    heap_result, heap_rec = _engine_run("heap")
-    cal_result, cal_rec = _engine_run("calendar")
-    assert cal_rec.to_jsonl() == heap_rec.to_jsonl()
-    assert _fingerprint(cal_result) == _fingerprint(heap_result)
-
-
-# ----------------------------------------------------------------------
 # The machinery under test is actually exercised
 # ----------------------------------------------------------------------
 def test_pass_skips_and_rekeys_are_exercised() -> None:

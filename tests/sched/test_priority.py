@@ -1,6 +1,8 @@
 """Tests for priority policies."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sched.priority import (
     FcfsPolicy,
@@ -40,7 +42,7 @@ class TestUserFairShare:
     def test_idle_user_beats_hog(self):
         policy = UserFairSharePolicy()
         hog_done = make_job(cpus=8, runtime=10_000.0, user="hog")
-        policy.on_finish(hog_done, 100.0)
+        policy.on_finish([hog_done], 100.0)
         hog_job = make_job(user="hog", submit=0.0)
         idle_job = make_job(user="idle", submit=0.0)
         assert order(policy, [hog_job, idle_job], 100.0)[0] is idle_job
@@ -48,7 +50,7 @@ class TestUserFairShare:
     def test_wait_eventually_dominates(self):
         # Starvation freedom: enough waiting overcomes any usage deficit.
         policy = UserFairSharePolicy(weight=2.0)
-        policy.on_finish(make_job(cpus=8, runtime=1e6, user="hog"), 0.0)
+        policy.on_finish([make_job(cpus=8, runtime=1e6, user="hog")], 0.0)
         hog_old = make_job(user="hog", submit=0.0)
         idle_new = make_job(user="idle", submit=30 * 86400.0)
         assert (
@@ -69,7 +71,7 @@ class TestHierarchical:
         )
         # Group g0 burned lots of cycles via user a.
         policy.on_finish(
-            make_job(cpus=8, runtime=10_000.0, user="a", group="g0"), 0.0
+            [make_job(cpus=8, runtime=10_000.0, user="a", group="g0")], 0.0
         )
         # A *different* user of the hog group still loses to a user of
         # the idle group.
@@ -80,10 +82,10 @@ class TestHierarchical:
     def test_within_group_user_factor(self):
         policy = HierarchicalFairSharePolicy()
         policy.on_finish(
-            make_job(cpus=8, runtime=10_000.0, user="a", group="g0"), 0.0
+            [make_job(cpus=8, runtime=10_000.0, user="a", group="g0")], 0.0
         )
         policy.on_finish(
-            make_job(cpus=1, runtime=10.0, user="b", group="g0"), 0.0
+            [make_job(cpus=1, runtime=10.0, user="b", group="g0")], 0.0
         )
         a_job = make_job(user="a", group="g0", submit=0.0)
         b_job = make_job(user="b", group="g0", submit=0.0)
@@ -95,10 +97,10 @@ class TestHierarchical:
         )
         # Equal usage; "big" deserves far more.
         policy.on_finish(
-            make_job(cpus=1, runtime=100.0, user="x", group="big"), 0.0
+            [make_job(cpus=1, runtime=100.0, user="x", group="big")], 0.0
         )
         policy.on_finish(
-            make_job(cpus=1, runtime=100.0, user="y", group="small"), 0.0
+            [make_job(cpus=1, runtime=100.0, user="y", group="small")], 0.0
         )
         big = make_job(user="x", group="big", submit=0.0)
         small = make_job(user="y", group="small", submit=0.0)
@@ -109,7 +111,7 @@ class TestUserGroup:
     def test_both_levels_charge(self):
         policy = UserGroupFairSharePolicy()
         policy.on_finish(
-            make_job(cpus=8, runtime=1000.0, user="a", group="g0"), 0.0
+            [make_job(cpus=8, runtime=1000.0, user="a", group="g0")], 0.0
         )
         assert policy.users.usage("a", 0.0) == 8000.0
         assert policy.groups.usage("g0", 0.0) == 8000.0
@@ -117,7 +119,7 @@ class TestUserGroup:
     def test_fresh_user_in_hog_group_middle_priority(self):
         policy = UserGroupFairSharePolicy()
         policy.on_finish(
-            make_job(cpus=8, runtime=10_000.0, user="a", group="g0"), 0.0
+            [make_job(cpus=8, runtime=10_000.0, user="a", group="g0")], 0.0
         )
         hog_user = make_job(user="a", group="g0", submit=0.0)
         fresh_same_group = make_job(user="b", group="g0", submit=0.0)
@@ -138,6 +140,51 @@ class TestDynamicReprioritization:
         assert order(policy, [waiting, rival], 60.0)[0] is waiting
         # Group g0 suddenly burns a lot of cycles.
         policy.on_finish(
-            make_job(cpus=8, runtime=50_000.0, user="a2", group="g0"), 61.0
+            [make_job(cpus=8, runtime=50_000.0, user="a2", group="g0")], 61.0
         )
         assert order(policy, [waiting, rival], 62.0)[0] is rival
+
+
+@pytest.mark.parametrize(
+    "policy_cls",
+    [
+        UserFairSharePolicy,
+        HierarchicalFairSharePolicy,
+        UserGroupFairSharePolicy,
+    ],
+)
+@given(
+    finished=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]),
+            st.sampled_from(["g0", "g1"]),
+            st.integers(1, 64),
+            st.floats(0.0, 1e5),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_property_batched_on_finish_matches_one_at_a_time(
+    policy_cls, finished
+):
+    """Jobs completing together charge exactly what completing one at a
+    time did: every queued job's fair-share factor is identical."""
+    jobs = [
+        make_job(cpus=cpus, runtime=runtime, user=user, group=group)
+        for user, group, cpus, runtime in finished
+    ]
+    one, batched = policy_cls(), policy_cls()
+    for job in jobs:
+        one.on_finish([job], 50.0)
+    batched.on_finish(jobs, 50.0)
+    probes = [
+        make_job(user=user, group=group)
+        for user in ("a", "b", "c", "new")
+        for group in ("g0", "g1", "new")
+    ]
+    for probe in probes:
+        for t in (50.0, 5000.0):
+            assert batched.fair_share_factor(
+                probe, t
+            ) == one.fair_share_factor(probe, t)

@@ -47,7 +47,7 @@ class TestQueueManagement:
 
     def test_blocked_jobs_stay_queued(self, cluster):
         s = scheduler()
-        cluster.start(make_job(cpus=8, runtime=100.0), 0.0)
+        cluster.start([make_job(cpus=8, runtime=100.0)], 0.0)
         job = make_job(cpus=4)
         s.submit(job, 0.0)
         assert s.schedule(0.0, cluster) == []
@@ -66,7 +66,7 @@ class TestHeadStartEstimate:
     def test_waits_for_estimated_release(self, cluster):
         s = scheduler()
         running = make_job(cpus=8, runtime=10.0, estimate=300.0)
-        cluster.start(running, 0.0)
+        cluster.start([running], 0.0)
         s.submit(make_job(cpus=4), 1.0)
         # Uses the estimate (300), not the actual runtime (10).
         assert s.head_start_estimate(1.0, cluster) == 300.0
@@ -77,7 +77,7 @@ class TestHeadStartEstimate:
         early_wide = make_job(cpus=8, submit=1.0)
         s.submit(late_narrow, 10.0)
         s.submit(early_wide, 1.0)
-        cluster.start(make_job(cpus=8, runtime=50.0, estimate=200.0), 0.0)
+        cluster.start([make_job(cpus=8, runtime=50.0, estimate=200.0)], 0.0)
         # FCFS head is the early wide job.
         assert s.head_job(10.0) is early_wide
         assert s.head_start_estimate(10.0, cluster) == 200.0
@@ -115,11 +115,11 @@ class TestPredictorIntegration:
         predictor = PerUserRuntimePredictor()
         done = make_job(runtime=10.0, estimate=1000.0, user="alice")
         s = scheduler(predictor=predictor)
-        s.on_finish(done, 0.0)
+        s.on_finish([done], 0.0)
         running = make_job(
             cpus=8, runtime=10.0, estimate=1000.0, user="alice"
         )
-        cluster.start(running, 0.0)
+        cluster.start([running], 0.0)
         s.submit(make_job(cpus=4, user="bob"), 1.0)
         estimate = s.head_start_estimate(1.0, cluster)
         # Corrected: alice's jobs take ~1% of estimate -> release ~10 s.
@@ -131,7 +131,7 @@ class TestFairShareIntegration:
         policy = UserFairSharePolicy(weight=5.0)
         s = QueueScheduler(policy=policy, backfill=BackfillMode.EASY)
         hog_done = make_job(cpus=8, runtime=50_000.0, user="hog")
-        s.on_finish(hog_done, 0.0)
+        s.on_finish([hog_done], 0.0)
         hog_next = make_job(cpus=8, user="hog", submit=0.0)
         fresh = make_job(cpus=8, user="fresh", submit=1.0)
         s.submit(hog_next, 0.0)

@@ -165,7 +165,7 @@ class TestTenantFairQueue:
         for i in range(3):
             queue.push("flood", f"flood-{i}")
         queue.push("fresh", "fresh-0")
-        queue.tracker.charge("flood", 10.0, clock.now)
+        queue.tracker.charge("flood", [10.0], clock.now)
         order = [queue.pop().tenant for _ in range(4)]
         assert order == ["fresh", "flood", "flood", "flood"]
 
@@ -182,7 +182,7 @@ class TestTenantFairQueue:
         factor, so it eventually beats any newcomer."""
         queue, clock = self._queue(wait_norm_s=1.0)
         queue.push("hog", "old")
-        queue.tracker.charge("hog", 1000.0, clock.now)
+        queue.tracker.charge("hog", [1000.0], clock.now)
         clock.now = 5.0  # waited 5 wait-norms: score >= -1 + 5
         queue.push("fresh", "new")  # score <= +1 + 0
         assert queue.pop().item == "old"
@@ -214,7 +214,7 @@ class TestTenantFairQueue:
                 if rng.random() < 0.4:
                     tracker.charge(
                         rng.choice(["a", "b", "c"]),
-                        rng.uniform(0.1, 5.0),
+                        [rng.uniform(0.1, 5.0)],
                         clock.now,
                     )
                 clock.now += rng.uniform(0.0, 2.0)
@@ -223,7 +223,7 @@ class TestTenantFairQueue:
                 ticket = queue.pop()
                 order.append((ticket.tenant, ticket.item))
                 clock.now += rng.uniform(0.0, 1.0)
-                tracker.charge(ticket.tenant, 0.5, clock.now)
+                tracker.charge(ticket.tenant, [0.5], clock.now)
             return order
 
         assert run(42) == run(42)
