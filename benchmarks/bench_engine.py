@@ -11,10 +11,14 @@ under a periodic scheduler wake cycle, the production operating mode)
   (the pre-overhaul formulation, kept as the behavioral oracle).
 
 Event counts are deterministic per (seed, scale, scenario); only the
-wall-clock varies, so each configuration reports the best of
-``REPEATS`` runs.  The committed ``BENCH_engine.json`` additionally
-embeds the pre-overhaul engine's measured throughput (``pre_pr``) as
-the fixed "before" point of the perf trajectory.
+time varies.  Each configuration runs ``REPEATS`` incremental/reference
+pairs, alternating which side goes first and timing each run in CPU
+seconds, so a change of host speed between two blocks of runs cannot
+move the ratio: events/sec comes from each side's fastest run and the
+speedup is the median of the per-pair ratios.  The committed
+``BENCH_engine.json`` additionally embeds the pre-overhaul engine's
+measured throughput (``pre_pr``) as the fixed "before" point of the
+perf trajectory; a rewrite carries it over from the file it replaces.
 
 Run directly for the full protocol (rewrites ``BENCH_engine.json``)::
 
@@ -31,10 +35,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import statistics
 import sys
 from pathlib import Path
-from time import perf_counter
+from time import process_time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -117,40 +121,68 @@ def _faults(scenario: str) -> Optional[FaultModel]:
     return FaultModel(mtbf=2.0e5, mttr=7200.0, cpus_per_node=16, seed=SEED)
 
 
-def _measure(
+def _run(
     machine_name: str,
     scenario: str,
-    scale: float,
+    trace,
     scheduler_cls: type,
 ) -> Tuple[int, float]:
-    """(deterministic event count, best-of-REPEATS seconds)."""
+    """(deterministic event count, CPU seconds) of one replay."""
     machine = preset(machine_name)
+    scheduler = _scheduler(machine_name, machine, scheduler_cls)
+    t0 = process_time()
+    if scenario == "continual":
+        project = InterstitialProject(
+            n_jobs=1,
+            cpus_per_job=max(1, machine.cpus // 8),
+            runtime_1ghz=1800.0,
+            user="bench",
+            group="bench",
+        )
+        result, _ctl = run_continual(
+            machine, trace, project, scheduler=scheduler,
+            wake_interval=WAKE_INTERVAL,
+        )
+    else:
+        result = run_native(
+            machine, trace, scheduler=scheduler,
+            faults=_faults(scenario),
+        )
+    return result.counters.events, process_time() - t0
+
+
+def _measure(
+    machine_name: str, scenario: str, scale: float
+) -> Dict[str, float]:
+    """``REPEATS`` incremental/reference pairs of one scenario, the
+    side that runs first alternating from pair to pair."""
+    key = f"{scenario}-{machine_name}"
     trace = _trace(machine_name, scenario, scale)
-    best = math.inf
-    events = 0
-    for _ in range(REPEATS):
-        scheduler = _scheduler(machine_name, machine, scheduler_cls)
-        t0 = perf_counter()
-        if scenario == "continual":
-            project = InterstitialProject(
-                n_jobs=1,
-                cpus_per_job=max(1, machine.cpus // 8),
-                runtime_1ghz=1800.0,
-                user="bench",
-                group="bench",
-            )
-            result, _ctl = run_continual(
-                machine, trace, project, scheduler=scheduler,
-                wake_interval=WAKE_INTERVAL,
-            )
-        else:
-            result = run_native(
-                machine, trace, scheduler=scheduler,
-                faults=_faults(scenario),
-            )
-        best = min(best, perf_counter() - t0)
-        events = result.counters.events
-    return events, best
+    pair = (QueueScheduler, ReferenceQueueScheduler)
+    seconds: Dict[type, list] = {cls: [] for cls in pair}
+    events: Dict[type, int] = {}
+    for repeat in range(REPEATS):
+        for cls in pair if repeat % 2 == 0 else pair[::-1]:
+            count, spent = _run(machine_name, scenario, trace, cls)
+            if events.setdefault(cls, count) != count:
+                raise AssertionError(f"{key}: event count not deterministic")
+            seconds[cls].append(spent)
+    inc_s, ref_s = seconds[QueueScheduler], seconds[ReferenceQueueScheduler]
+    inc_events = events[QueueScheduler]
+    if events[ReferenceQueueScheduler] != inc_events:
+        raise AssertionError(
+            f"{key}: incremental processed {inc_events} events but "
+            f"reference processed {events[ReferenceQueueScheduler]}; the "
+            "schedulers diverged"
+        )
+    return {
+        "events": inc_events,
+        "incremental_events_per_sec": round(inc_events / min(inc_s), 1),
+        "reference_events_per_sec": round(inc_events / min(ref_s), 1),
+        "speedup": round(
+            statistics.median(r / i for i, r in zip(inc_s, ref_s)), 2
+        ),
+    }
 
 
 def _measure_section(scale: float) -> Dict[str, object]:
@@ -158,29 +190,13 @@ def _measure_section(scale: float) -> Dict[str, object]:
     for machine_name in MACHINES:
         for scenario in SCENARIOS:
             key = f"{scenario}-{machine_name}"
-            inc_events, inc_s = _measure(
-                machine_name, scenario, scale, QueueScheduler
-            )
-            ref_events, ref_s = _measure(
-                machine_name, scenario, scale, ReferenceQueueScheduler
-            )
-            if inc_events != ref_events:
-                raise AssertionError(
-                    f"{key}: incremental processed {inc_events} events but "
-                    f"reference processed {ref_events}; the schedulers "
-                    "diverged"
-                )
-            scenarios[key] = {
-                "events": inc_events,
-                "incremental_events_per_sec": round(inc_events / inc_s, 1),
-                "reference_events_per_sec": round(ref_events / ref_s, 1),
-                "speedup": round(ref_s / inc_s, 2),
-            }
+            entry = _measure(machine_name, scenario, scale)
+            scenarios[key] = entry
             print(
-                f"{key:<28} {inc_events:>7d} ev  "
-                f"inc {inc_events / inc_s:>9.0f} ev/s  "
-                f"ref {ref_events / ref_s:>9.0f} ev/s  "
-                f"x{ref_s / inc_s:.2f}"
+                f"{key:<28} {entry['events']:>7d} ev  "
+                f"inc {entry['incremental_events_per_sec']:>9.0f} ev/s  "
+                f"ref {entry['reference_events_per_sec']:>9.0f} ev/s  "
+                f"x{entry['speedup']:.2f}"
             )
     return {"scale": scale, "scenarios": scenarios}
 
@@ -193,7 +209,9 @@ def run_bench(out_path: Path, quick_only: bool = False) -> Dict[str, object]:
             "quick_scale": QUICK_SCALE,
             "repeats": REPEATS,
             "continual_wake_interval_s": WAKE_INTERVAL,
-            "timing": "best-of-repeats, events/sec",
+            "timing": "CPU seconds; incremental and reference runs "
+            "alternate within each repeat; events/sec from each side's "
+            "fastest run, speedup = median per-repeat ratio",
         },
     }
     if not quick_only:
@@ -201,8 +219,14 @@ def run_bench(out_path: Path, quick_only: bool = False) -> Dict[str, object]:
         data["full"] = _measure_section(FULL_SCALE)
     print(f"# quick protocol (scale {QUICK_SCALE})")
     data["quick"] = _measure_section(QUICK_SCALE)
+    pre = None
     if PRE_PR_BASELINE.exists():
         pre = json.loads(PRE_PR_BASELINE.read_text())
+    elif out_path.exists():
+        # The pre-overhaul engine is gone, so its one measurement lives
+        # on only in the file being replaced.
+        pre = json.loads(out_path.read_text()).get("pre_pr")
+    if pre is not None:
         data["pre_pr"] = pre
         if "full" in data:
             full = data["full"]["scenarios"]  # type: ignore[index]
@@ -261,10 +285,9 @@ def check_against(committed_path: Path) -> int:
 # pytest entry: determinism only (timing asserts would flake on CI)
 # ----------------------------------------------------------------------
 def test_schedulers_process_identical_event_streams() -> None:
-    inc_events, _ = _measure("ross", "continual", QUICK_SCALE, QueueScheduler)
-    ref_events, _ = _measure(
-        "ross", "continual", QUICK_SCALE, ReferenceQueueScheduler
-    )
+    trace = _trace("ross", "continual", QUICK_SCALE)
+    inc_events, _ = _run("ross", "continual", trace, QueueScheduler)
+    ref_events, _ = _run("ross", "continual", trace, ReferenceQueueScheduler)
     assert inc_events == ref_events
 
 

@@ -78,13 +78,13 @@ class FairShareTracker:
         #: valid exactly while the version is unchanged.
         self.version: int = 0
         # Performance caches: schedulers evaluate factors for every
-        # queued job at the same instant, so total usage per timestamp
+        # queued class at the same instant, so total usage per timestamp
         # and the normalized share table are memoized (profiling showed
         # them dominating continual-run time otherwise).
         self._total_cache: Tuple[float, float] = (math.nan, 0.0)
-        #: Per-entity decayed usage at the memoized timestamp, built as
-        #: a side product of ``total_usage`` so the per-entity queries a
-        #: re-key makes right after it are dictionary lookups.
+        #: Per-entity decayed usage at the memoized timestamp, built
+        #: with the total so the other entities a re-key queries right
+        #: after it are dictionary lookups.
         self._usage_at: Dict[str, float] = {}
         self._share_cache: Optional[Dict[str, float]] = None
         self._share_total: float = 0.0
@@ -129,24 +129,13 @@ class FairShareTracker:
         value, since = self._usage.get(entity, (0.0, t))
         return self._decayed(value, since, t)
 
-    def total_usage(self, t: float) -> float:
-        """Sum of decayed usage over all entities at ``t`` (memoized per
-        timestamp; charges invalidate the memo)."""
-        if self._total_cache[0] == t:
-            return self._total_cache[1]
-        usage_at = {e: self.usage(e, t) for e in self._usage}
-        total = sum(usage_at.values())
-        self._usage_at = usage_at
-        self._total_cache = (t, total)
-        return total
-
     def usage_share(self, entity: str, t: float) -> float:
         """Fraction of total decayed usage attributed to ``entity``
         (0 when nobody has any usage)."""
-        total = self.total_usage(t)
+        total = sum(self.usage(e, t) for e in self._usage)
         if total <= 0.0:
             return 0.0
-        return self._usage_at.get(entity, 0.0) / total
+        return self.usage(entity, t) / total
 
     def target_share(self, entity: str) -> float:
         """Normalized target share of ``entity`` among known entities.
@@ -180,10 +169,31 @@ class FairShareTracker:
         decay cancels out of the share quotient), so repeat evaluations
         — one per queued job per scheduling pass in the naive scheme —
         collapse to a dictionary lookup.
+
+        A miss is evaluated in this one body, float-for-float what
+        ``target_share(entity) - usage_share(entity, t)`` computes: the
+        decayed-usage table at ``t`` (memoized per timestamp, so the
+        other entities of the same re-key reuse it) is built with
+        :meth:`_decayed`'s expression and summed in insertion order.
         """
+        version = self.version
         hit = self._factor_cache.get(entity)
-        if hit is not None and hit[0] == self.version:
+        if hit is not None and hit[0] == version:
             return hit[1]
-        value = self.target_share(entity) - self.usage_share(entity, t)
-        self._factor_cache[entity] = (self.version, value)
+        if self._total_cache[0] != t:
+            rate = self._decay_rate
+            usage_at = {
+                e: used if t <= since
+                else used * math.exp(-rate * (t - since))
+                for e, (used, since) in self._usage.items()
+            }
+            self._usage_at = usage_at
+            self._total_cache = (t, sum(usage_at.values()))
+        total = self._total_cache[1]
+        if total <= 0.0:
+            share = 0.0
+        else:
+            share = self._usage_at.get(entity, 0.0) / total
+        value = self.target_share(entity) - share
+        self._factor_cache[entity] = (version, value)
         return value

@@ -20,6 +20,9 @@ decisions from incrementally maintained structures:
   re-keyed when :attr:`~repro.sched.priority.PriorityPolicy.priority_version`
   bumps (a fair-share charge actually changed relative priorities);
   submissions insert with ``bisect`` and the head job is ``_order[0]``;
+* queue membership is a dict keyed by job id (submission order for
+  ``pending_jobs``, O(1) removal on start) beside a sorted multiset of
+  queued widths, whose first element gates whole passes;
 * release claims come from the cluster's sorted timeline (or, with a
   predictor, from a cache keyed on ``(cluster.epoch, predictor.version)``)
   instead of a rebuild-and-sort of ``cluster.running``;
@@ -45,7 +48,7 @@ from repro.jobs import Job
 from repro.sched.backfill import select_conservative, select_easy
 from repro.sched.base import Scheduler
 from repro.sched.predictor import PerUserRuntimePredictor
-from repro.sched.priority import PriorityPolicy, ScoreKey
+from repro.sched.priority import PriorityPolicy
 from repro.sched.timeofday import TimeOfDayPolicy
 from repro.sim.state import ClusterState
 
@@ -54,6 +57,12 @@ from repro.sim.state import ClusterState
 #: ``(wait_term, submit_time, job_id, job)``.  ``job_id`` is unique, so
 #: tuple comparison never reaches the (incomparable) job itself.
 ClassEntry = Tuple[float, float, int, Job]
+
+#: One queued job in the priority order: ``(*rank_key, job)``, i.e.
+#: ``(wait_term - factor, submit_time, job_id, job)``.  Flat, so sorting
+#: compares the entries themselves, not key tuples nested in pairs;
+#: unique ids again keep ``job`` out of every comparison.
+OrderEntry = Tuple[float, float, int, Job]
 
 
 class BackfillMode(enum.Enum):
@@ -102,13 +111,16 @@ class QueueScheduler(Scheduler):
         self.n_pass_skips = 0
         self.n_priority_rekeys = 0
         self.n_release_rebuilds = 0
-        #: Queued jobs in submission order (what ``pending_jobs``
-        #: reports, unchanged from the naive scheduler).
-        self._queue: List[Job] = []
-        #: The same jobs as ``(rank_key, job)``, ascending — i.e. the
-        #: descending-priority order every pass needs.  Valid while
-        #: ``_order_version == policy.priority_version``.
-        self._order: List[Tuple[ScoreKey, Job]] = []
+        #: Queued jobs by id, in submission order (what
+        #: ``pending_jobs`` reports, unchanged from the naive scheduler).
+        self._queue: Dict[int, Job] = {}
+        #: CPU requests of the queued jobs, ascending (a multiset: one
+        #: element per job).  ``_widths[0]`` is the narrowest request.
+        self._widths: List[int] = []
+        #: The same jobs as flat :data:`OrderEntry` tuples, ascending —
+        #: i.e. the descending-priority order every pass needs.  Valid
+        #: while ``_order_version == policy.priority_version``.
+        self._order: List[OrderEntry] = []
         self._order_version = -1
         #: Queued jobs bucketed by fair-share class ``(user, group)``,
         #: each bucket ascending by ``(wait_term, submit, job_id)``
@@ -121,12 +133,7 @@ class QueueScheduler(Scheduler):
         self._classes: Dict[Tuple[str, str], List[ClassEntry]] = {}
         #: Bumped whenever queue membership changes (submit / start).
         self._membership_version = 0
-        #: Smallest CPU request over the queue, cached per membership
-        #: version.  Gates whole passes: no backfill mode (nor the
-        #: cluster itself) starts a job wider than the free CPUs.
-        self._min_cpus = 0
-        self._min_cpus_version = -1
-        #: ``[job for _key, job in _order]``, cached per
+        #: ``[entry[3] for entry in _order]``, cached per
         #: (order version, membership version) — the per-pass projection
         #: every selection needs.
         self._ordered_jobs: List[Job] = []
@@ -157,7 +164,8 @@ class QueueScheduler(Scheduler):
     # Scheduler interface
     # ------------------------------------------------------------------
     def submit(self, job: Job, t: float) -> None:
-        self._queue.append(job)
+        self._queue[job.job_id] = job
+        bisect.insort(self._widths, job.cpus)
         self._membership_version += 1
         entry = (
             self.policy.wait_weight * job.submit_time / 86400.0,
@@ -171,7 +179,7 @@ class QueueScheduler(Scheduler):
             # Keys are comparable across the passes of one priority
             # version (rank_key is time-shift invariant), so a single
             # bisect keeps the order sorted without touching the rest.
-            bisect.insort(self._order, (self.policy.rank_key(job, t), job))
+            bisect.insort(self._order, (*self.policy.rank_key(job, t), job))
 
     def on_finish(self, jobs: Sequence[Job], t: float) -> None:
         self.policy.on_finish(jobs, t)
@@ -184,7 +192,7 @@ class QueueScheduler(Scheduler):
         return len(self._queue)
 
     def pending_jobs(self) -> List[Job]:
-        return list(self._queue)
+        return list(self._queue.values())
 
     def schedule(self, t: float, cluster: ClusterState) -> List[Job]:
         if not self._queue:
@@ -192,7 +200,7 @@ class QueueScheduler(Scheduler):
         if self._can_skip(t, cluster):
             self.n_pass_skips += 1
             return []
-        if self._min_queued_cpus() > cluster.free_cpus:
+        if self._widths[0] > cluster.free_cpus:
             # Capacity gate: every backfill mode starts a job only when
             # it fits the instantaneous free CPUs, so when even the
             # narrowest queued job is too wide the pass cannot start
@@ -203,7 +211,7 @@ class QueueScheduler(Scheduler):
         self._ensure_order(t)
         ordered_key = (self._order_version, self._membership_version)
         if self._ordered_key != ordered_key:
-            self._ordered_jobs = [job for _key, job in self._order]
+            self._ordered_jobs = [entry[3] for entry in self._order]
             self._ordered_key = ordered_key
         ordered = self._ordered_jobs
         if self.timeofday is None:
@@ -244,20 +252,21 @@ class QueueScheduler(Scheduler):
         started_ids = {job.job_id for job in starts}
         # A start is a *backfill* start when some higher-priority
         # eligible job stayed queued — the job jumped a blocked
-        # predecessor rather than running in turn.
-        in_priority_prefix = True
+        # predecessor rather than running in turn.  Every start is an
+        # eligible job, so all but the leading run of started jobs did.
+        in_turn = 0
         for job in eligible:
-            if job.job_id in started_ids:
-                if not in_priority_prefix:
-                    self.n_backfill_starts += 1
-            else:
-                in_priority_prefix = False
-        self._queue = [j for j in self._queue if j.job_id not in started_ids]
+            if job.job_id not in started_ids:
+                break
+            in_turn += 1
+        self.n_backfill_starts += len(starts) - in_turn
         self._order = [
-            entry for entry in self._order
-            if entry[1].job_id not in started_ids
+            entry for entry in self._order if entry[2] not in started_ids
         ]
+        queue, widths = self._queue, self._widths
         for job in starts:
+            del queue[job.job_id]
+            del widths[bisect.bisect_left(widths, job.cpus)]
             self._remove_from_class(job)
         self._membership_version += 1
         self._no_start_state = None
@@ -267,7 +276,7 @@ class QueueScheduler(Scheduler):
         if not self._queue:
             return None
         self._ensure_order(t)
-        return self._order[0][1]
+        return self._order[0][3]
 
     def head_start_estimate(self, t: float, cluster: ClusterState) -> float:
         """The paper's ``backfillWallTime``: expected earliest start of
@@ -285,15 +294,6 @@ class QueueScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Incremental maintenance internals
     # ------------------------------------------------------------------
-    def _min_queued_cpus(self) -> int:
-        """Narrowest queued CPU request, cached per membership version
-        (the queue only changes through ``submit`` and starts, both of
-        which bump it)."""
-        if self._min_cpus_version != self._membership_version:
-            self._min_cpus = min(job.cpus for job in self._queue)
-            self._min_cpus_version = self._membership_version
-        return self._min_cpus
-
     def _ensure_order(self, t: float) -> None:
         """(Re)key the priority order if charges invalidated it.
 
@@ -303,6 +303,9 @@ class QueueScheduler(Scheduler):
         float the expression :meth:`~PriorityPolicy.rank_key` evaluates.
         Each class bucket is already a sorted run of the final order,
         so the concatenation sorts in O(n log(classes)) merge passes.
+        Entries embed ``(submit_time, job_id)`` right after the key, so
+        exact key ties fall through to the same tie-break as
+        :meth:`~PriorityPolicy.sort_key`, and jobs are never compared.
         """
         version = self.policy.priority_version
         if self._order_version == version:
@@ -311,13 +314,10 @@ class QueueScheduler(Scheduler):
         if timers is not None:
             timers.start("priority_maintenance")
         factor_of = self.policy.fair_share_factor
-        entries: List[Tuple[ScoreKey, Job]] = []
-        extend = entries.extend
+        entries: List[OrderEntry] = []
         for bucket in self._classes.values():
             f = factor_of(bucket[0][3], t)
-            extend(((wt - f, s, jid), job) for wt, s, jid, job in bucket)
-        # Keys embed (submit_time, job_id), so they are unique and jobs
-        # themselves are never compared.
+            entries += [(wt - f, s, jid, job) for wt, s, jid, job in bucket]
         entries.sort()
         self._order = entries
         self._order_version = version

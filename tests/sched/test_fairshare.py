@@ -1,5 +1,6 @@
 """Tests for decayed-usage fair-share accounting."""
 
+import math
 import struct
 
 import pytest
@@ -191,3 +192,70 @@ def test_batched_charge_validates_before_charging():
         tracker.charge("a", [5.0, -1.0], 0.0)
     assert tracker.usage("a", 0.0) == 0.0
     assert tracker.version == 0
+
+
+def _factor_from_scratch(charges, shares, half_life_s, entity, t):
+    """``factor(entity, t)`` recomputed from the charge history alone:
+    each stored usage decayed with ``math.exp``, summed in insertion
+    order, then ``target - usage / total``."""
+    rate = math.log(2.0) / half_life_s
+    stored = {e: (0.0, 0.0) for e in shares}
+    for who, amount, when in charges:
+        value, since = stored.get(who, (0.0, when))
+        if when > since:
+            value = value * math.exp(-rate * (when - since))
+        stored[who] = (value + amount, when)
+    decayed = {
+        e: value if t <= since else value * math.exp(-rate * (t - since))
+        for e, (value, since) in stored.items()
+    }
+    total = sum(decayed.values())
+    usage_share = 0.0 if total <= 0.0 else decayed.get(entity, 0.0) / total
+    known = dict(shares)
+    for e in stored:
+        known.setdefault(e, 1.0)
+    share_total = sum(known.values())
+    if entity in known:
+        target = known[entity] / share_total
+    else:
+        target = 1.0 / (share_total + 1.0)
+    return target - usage_share
+
+
+@given(
+    history=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]),
+            st.floats(0.0, 1e6),
+            st.floats(0.0, 1e5),
+        ),
+        max_size=12,
+    ),
+    shares=st.sampled_from([{}, {"a": 2.0, "q": 0.5}]),
+    all_zero=st.booleans(),
+    probes=st.tuples(st.floats(0.0, 1e5), st.floats(0.0, 1e5)),
+)
+def test_property_factor_bit_identical_to_from_scratch(
+    history, shares, all_zero, probes
+):
+    """``factor`` equals a from-scratch evaluation bit for bit after
+    every charge, for charged entities, entities known only through
+    ``shares`` (``q``), newcomers (``z``) and an all-zero tracker; a
+    second query in the same version at another time returns the
+    first value."""
+    tracker = FairShareTracker(half_life_s=3600.0, shares=shares)
+    charges = []
+    t = 0.0
+    for entity, amount, step in history:
+        t += step
+        if all_zero:
+            amount = 0.0
+        tracker.charge(entity, [amount], t)
+        charges.append((entity, amount, t))
+        first, second = t + probes[0], t + probes[1]
+        for entity_ in ("a", "b", "c", "q", "z"):
+            got = tracker.factor(entity_, first)
+            assert _bits(got) == _bits(
+                _factor_from_scratch(charges, shares, 3600.0, entity_, first)
+            )
+            assert _bits(tracker.factor(entity_, second)) == _bits(got)

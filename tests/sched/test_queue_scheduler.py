@@ -54,6 +54,31 @@ class TestQueueManagement:
         assert s.queue_length == 1
 
 
+class TestCapacityGate:
+    def test_narrow_job_left_by_a_wide_start_starts_later(self, cluster):
+        # The pass gate reads the narrowest queued width, so a start
+        # must drop the started job's own width from it.
+        s = scheduler()
+        blocker = make_job(cpus=2)
+        cluster.start([blocker], 0.0)
+        wide, narrow = make_job(cpus=6), make_job(cpus=2)
+        s.submit(wide, 0.0)
+        s.submit(narrow, 0.0)
+        assert s.schedule(0.0, cluster) == [wide]
+        cluster.start([wide], 0.0)
+        cluster.finish([blocker])
+        assert s.schedule(10.0, cluster) == [narrow]
+
+    def test_too_wide_queue_skips_without_rekey(self, cluster):
+        s = scheduler(policy=UserFairSharePolicy())
+        cluster.start([make_job(cpus=6)], 0.0)
+        s.submit(make_job(cpus=4), 0.0)
+        s.on_finish([make_job(cpus=1)], 5.0)
+        assert s.schedule(5.0, cluster) == []
+        assert s.n_pass_skips == 1
+        assert s.n_priority_rekeys == 0
+
+
 class TestHeadStartEstimate:
     def test_empty_queue_infinite(self, cluster):
         assert math.isinf(scheduler().head_start_estimate(0.0, cluster))
