@@ -21,6 +21,13 @@ transport) of 1, 2 and 4 replicas and measures:
    results byte-identical to the same sweep run serially on one
    replica (deterministic simulations + content-addressed routing
    make the fleet an optimization, never a semantic change).
+4. **Two-tenant fairness across replicas** — ``bench_service.py``'s
+   ``two_tenant`` phase on 2 replicas: each replica holds a 10-deep
+   flood of keys it owns, and a light tenant's keys (owned by r0)
+   enter through r1, so every light request is forwarded into r0's
+   fair queue behind its flood.  Fair share must hold in the fleet as
+   it does solo: the bar is a light tenant's *worst* latency under
+   half the FIFO bound (``N_FLOOD × job``).
 
 Jobs are synthetic fixed-duration sleeps for the same reason as in
 ``bench_service.py``: scale-out moves *queueing*, and fixed-duration
@@ -39,11 +46,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from bench_service import N_FLOOD, N_LIGHT, TENANT_JOB_S, _tenant_job
 from repro.experiments.config import SCALES
 from repro.service import (
     FleetConfig,
     LocalFleet,
     ServiceConfig,
+    SimRequest,
     percentile,
 )
 
@@ -111,6 +120,92 @@ def _measure_sweep(
     return results, sweep_elapsed[0], latencies
 
 
+def _owned_seeds(fleet: LocalFleet, owner: str, n: int, start: int):
+    """The first ``n`` table1 seeds from ``start`` owned by ``owner``."""
+    member = fleet.members[0]
+    seeds = []
+    seed = start
+    while len(seeds) < n:
+        key = SimRequest("table1", seed=seed).run_key(
+            member.service.default_scale
+        )
+        if member.ring.owner(key) == owner:
+            seeds.append(seed)
+        seed += 1
+    return seeds
+
+
+def _measure_two_tenant() -> dict:
+    """A light tenant's bulk latency behind per-replica floods.
+
+    One worker and ``bulk_cap=1.0`` serialize each replica's bulk
+    lane, as in ``bench_service.py``; stealing stays at its default.
+    FIFO would make each light request wait out r0's flood
+    (~``N_FLOOD × job``); fair share should cost it only the
+    in-service job plus its own.
+    """
+    fleet = LocalFleet(
+        2,
+        service_config=ServiceConfig(
+            workers=1, bulk_cap=1.0, scale=SCALES["quick"]
+        ),
+        pool_factory=lambda n: ThreadPoolExecutor(max_workers=n),
+        worker_fn=_tenant_job,
+    )
+    with fleet:
+        start = time.perf_counter()
+        floods = []
+        for via in range(2):
+            payloads = [
+                {"experiment": "table1", "seed": seed,
+                 "priority": "bulk", "tenant": "flood"}
+                for seed in _owned_seeds(fleet, f"r{via}", N_FLOOD, 600)
+            ]
+            replies: list = []
+            thread = threading.Thread(
+                target=lambda p=payloads, r=replies, v=via: r.extend(
+                    fleet.run_many(p, via=v)
+                )
+            )
+            thread.start()
+            floods.append((thread, replies))
+        # Let the floods queue up and get a little usage charged.
+        time.sleep(2.5 * TENANT_JOB_S)
+        light_latencies = []
+        for seed in _owned_seeds(fleet, "r0", N_LIGHT, 700):
+            t0 = time.perf_counter()
+            reply = fleet.run(
+                "table1", seed=seed, priority="bulk", tenant="light",
+                via=1,
+            )
+            light_latencies.append(time.perf_counter() - t0)
+            assert reply.ok, reply.payload
+        for thread, replies in floods:
+            thread.join()
+            assert all(r.ok for r in replies)
+        elapsed = time.perf_counter() - start
+        agg = fleet.fleet_metrics()
+
+    light_mean = sum(light_latencies) / len(light_latencies)
+    fifo_wait = N_FLOOD * TENANT_JOB_S
+    tenants = agg["tenant_totals"]
+    return {
+        "replicas": 2,
+        "flood_requests_per_replica": N_FLOOD,
+        "light_requests": N_LIGHT,
+        "job_duration_s": TENANT_JOB_S,
+        "light_mean_s": round(light_mean, 4),
+        "light_worst_s": round(max(light_latencies), 4),
+        "fifo_wait_bound_s": round(fifo_wait, 4),
+        "fairness_ratio": round(light_mean / fifo_wait, 3),
+        "elapsed_s": round(elapsed, 3),
+        "forwards": agg["totals"]["forwards"],
+        "steals": agg["totals"]["steals"],
+        "flood_computes": tenants["flood"]["computes"],
+        "light_computes": tenants["light"]["computes"],
+    }
+
+
 def run_bench(output: Path) -> dict:
     # No-load interactive baseline on a single replica.
     with _make_fleet(1) as solo:
@@ -158,6 +253,8 @@ def run_bench(output: Path) -> dict:
             2,
         )
 
+    two_tenant = _measure_two_tenant()
+
     byte_identical = [
         r.payload["result"] for r in fleet_results
     ] == [r.payload["result"] for r in serial_results] and [
@@ -181,6 +278,7 @@ def run_bench(output: Path) -> dict:
             ),
         },
         "byte_identical_to_serial": byte_identical,
+        "two_tenant": two_tenant,
     }
     output.write_text(json.dumps(result, indent=2) + "\n")
 
@@ -202,6 +300,12 @@ def run_bench(output: Path) -> dict:
         f"({interactive_p99 / baseline_p99:.2f}x); byte-identical: "
         f"{byte_identical}"
     )
+    print(
+        f"two tenants on 2 replicas: light mean "
+        f"{two_tenant['light_mean_s']:.3f}s, worst "
+        f"{two_tenant['light_worst_s']:.3f}s (FIFO bound "
+        f"{two_tenant['fifo_wait_bound_s']:.1f}s)"
+    )
 
     top = sweeps[str(max(FLEET_SIZES))]
     assert top["speedup_vs_1"] >= MIN_SPEEDUP_4X, (
@@ -214,6 +318,14 @@ def run_bench(output: Path) -> dict:
     )
     assert byte_identical, (
         "fleet sweep results diverged from the serial solo run"
+    )
+    assert (
+        two_tenant["light_worst_s"]
+        < 0.5 * two_tenant["fifo_wait_bound_s"]
+    ), (
+        f"light tenant worst latency {two_tenant['light_worst_s']}s "
+        f"not under half the FIFO bound "
+        f"{two_tenant['fifo_wait_bound_s']}s"
     )
     return result
 

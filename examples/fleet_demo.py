@@ -61,7 +61,7 @@ def sweep_payloads() -> list:
 
 def main() -> None:
     # 1. Reference: the same sweep, serially, on a plain single
-    #    daemon (a one-replica fleet is an exact passthrough).
+    #    daemon (a one-replica fleet is the solo daemon).
     with make_fleet(1) as solo:
         serial = [solo.run_many([p])[0] for p in sweep_payloads()]
     assert all(r.ok for r in serial)

@@ -307,12 +307,13 @@ class ServiceCounters:
         store (it computed a key it does not own).
     steals:
         Queued bulk requests this replica pulled from a loaded peer's
-        backlog and executed itself.
+        fair queue and executed itself.
     steals_granted:
         Queued bulk requests this replica handed to an idle peer.
     steal_requeues:
-        Stolen entries re-enqueued locally because the thief never
-        reported a result within the steal deadline.
+        Stolen entries put back in the local fair queue because the
+        thief never reported a result within the steal deadline, or
+        refused the work (429/503).
     quota_rejections:
         Requests bounced because the *tenant* was over its quota
         (max in-flight or max backlog share); a subset of neither

@@ -55,7 +55,7 @@ import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, DeadLetterError, ServiceError
 from repro.experiments.config import ExperimentScale, current_scale
@@ -80,6 +80,7 @@ from repro.service.tenancy import (
     DEFAULT_TENANT_HALF_LIFE_S,
     TenantAdmission,
     TenantQuota,
+    TenantTicket,
     WorkerAutoscaler,
 )
 from repro.store import RunStore, content_key
@@ -228,6 +229,21 @@ class ServiceConfig:
         return self.scale if self.scale is not None else current_scale()
 
 
+@dataclass
+class BulkWaiter:
+    """A queued bulk request, as its fair-queue ticket carries it.
+
+    ``request`` and ``key`` are what a fleet peer needs to run it;
+    ``future`` is what its ``_execute`` awaits: ``None`` once the
+    admission loop grants it a local slot, or the
+    :class:`ServiceResponse` a peer reported after stealing it.
+    """
+
+    request: SimRequest
+    key: str
+    future: "asyncio.Future[Optional[ServiceResponse]]"
+
+
 class SimulationService:
     """Admission-controlled, cached, coalescing, self-healing
     simulation runner.
@@ -269,7 +285,7 @@ class SimulationService:
             half_life_s=config.tenant_half_life_s,
         )
         #: The bulk backlog: per-tenant fair-share lanes of admission
-        #: tickets (each ticket's item is an ``asyncio.Event``).
+        #: tickets (each ticket's item is a :class:`BulkWaiter`).
         self._bulk_queue = self.tenancy.queue
         self.autoscaler: Optional[WorkerAutoscaler] = None
         if config.autoscale_min is not None:
@@ -384,10 +400,6 @@ class SimulationService:
     async def _replay_entry(self, entry: Dict[str, Any]) -> None:
         entry_id = entry["id"]
         try:
-            if entry["experiment"] not in SPECS:
-                raise ServiceError(
-                    f"unknown experiment {entry['experiment']!r}"
-                )
             request = SimRequest(
                 experiment=entry["experiment"],
                 scale=entry.get("scale"),
@@ -397,14 +409,13 @@ class SimulationService:
                 # replay as the default tenant.
                 tenant=entry.get("tenant"),
             )
-            scale = request.resolve_scale(self._scale)
+            scale, key = self.resolve(request)
         except (ServiceError, KeyError):
             # The journaled config no longer validates (registry or
             # scale drift across a restart): terminally failed.
             self.journal.record_settle(entry_id, FAILED)
             self.metrics.counters.failures += 1
             return
-        key = content_key(request.run_payload(scale))
         cached = self.store.get(key, _MISS)
         if cached is not _MISS:
             # Completed before the crash (settle record was lost, or
@@ -447,9 +458,9 @@ class SimulationService:
 
         In-flight dispatches finish on the old pool (it is shut down
         without cancelling); new dispatches land on the replacement.
-        The cap, the backpressure arithmetic, and ``bulk_slots`` all
-        follow the new size immediately, and the admission loop is
-        woken — growing may have opened an interstice.
+        The cap and the backpressure arithmetic both follow the new
+        size immediately, and the admission loop is woken — growing
+        may have opened an interstice.
         """
         if n < 1:
             raise ConfigurationError(f"workers must be >= 1: {n}")
@@ -472,26 +483,12 @@ class SimulationService:
     def bulk_queue_depth(self) -> int:
         return len(self._bulk_queue)
 
-    def bulk_slots(self) -> int:
-        """Concurrent bulk dispatches the utilization cap can ever
-        admit: ``floor(bulk_cap * workers)``, at least 1 so bulk work
-        always makes progress.  The fleet layer feeds its stealable
-        backlog into the service at exactly this concurrency — enough
-        to keep every interstice busy, while the rest of the backlog
-        stays outside the admission queue where peers can steal it."""
-        return max(
-            1, int(self.config.bulk_cap * self._workers + 1e-9)
-        )
-
-    def has_cached(self, key: str) -> bool:
-        """Would a request hashing to ``key`` be answered from the
-        store right now?  (Fleet fast path: skip the backlog.)"""
-        return key in self.store
-
-    def is_inflight(self, key: str) -> bool:
-        """Is a computation for ``key`` currently in flight?  (Fleet
-        fast path: submitting now coalesces instead of queueing.)"""
-        return key in self._inflight
+    async def requeue_bulk(self, ticket: TenantTicket) -> None:
+        """Return a stolen ticket its peer never ran to its arrival
+        position in the fair queue, and wake the admission loop."""
+        async with self._cond:
+            self._bulk_queue.requeue(ticket)
+            self._cond.notify_all()
 
     def healthz(self) -> Dict[str, Any]:
         """The ``/healthz`` payload."""
@@ -567,17 +564,11 @@ class SimulationService:
                 503, {"status": "draining", "error": "service is draining"}
             )
         try:
-            if request.experiment not in SPECS:
-                raise ServiceError(
-                    f"unknown experiment {request.experiment!r}; "
-                    f"see 'repro list'"
-                )
-            scale = request.resolve_scale(self._scale)
+            scale, key = self.resolve(request)
         except ServiceError as exc:
             return ServiceResponse(
                 400, {"status": "error", "error": str(exc)}
             )
-        key = content_key(request.run_payload(scale))
 
         cached = self.store.get(key, _MISS)
         if cached is not _MISS:
@@ -621,6 +612,17 @@ class SimulationService:
             request, scale, key, journal_id=journal_id
         )
 
+    def resolve(self, request: SimRequest) -> Tuple[ExperimentScale, str]:
+        """The request's effective scale and content key; raises
+        :class:`ServiceError` for an unknown experiment or scale."""
+        if request.experiment not in SPECS:
+            raise ServiceError(
+                f"unknown experiment {request.experiment!r}; "
+                f"see 'repro list'"
+            )
+        scale = request.resolve_scale(self._scale)
+        return scale, content_key(request.run_payload(scale))
+
     async def _coalesce(
         self,
         request: SimRequest,
@@ -653,7 +655,9 @@ class SimulationService:
         """Admit, compute on the supervised pool, store, and resolve
         coalesced waiters; settles ``journal_id`` (when set) with
         exactly one terminal record — except on cancellation, where
-        the entry is deliberately left open for the next replay."""
+        the entry is deliberately left open for the next replay.  A
+        bulk request a fleet peer stole settles from the peer's
+        report instead of a dispatch."""
         counters = self.metrics.counters
         tenant = request.effective_tenant
         tenant_counters = self.metrics.tenant(tenant)
@@ -663,8 +667,13 @@ class SimulationService:
         try:
             if request.priority == BULK:
                 # The admission grant reserves both the pool slot and
-                # the tenant's in-flight unit.
-                await self._await_bulk_admission(tenant)
+                # the tenant's in-flight unit; a ticket a fleet peer
+                # stole comes back as that peer's response instead.
+                stolen = await self._await_bulk_admission(request, key)
+                if stolen is not None:
+                    return self._settle_stolen(
+                        request, future, stolen, journal_id
+                    )
             else:
                 self._busy += 1
                 self.tenancy.begin_dispatch(tenant)
@@ -734,6 +743,26 @@ class SimulationService:
             self._inflight.pop(key, None)
             await self._notify()
 
+    def _settle_stolen(
+        self,
+        request: SimRequest,
+        future: "asyncio.Future[Any]",
+        response: ServiceResponse,
+        journal_id: Optional[int],
+    ) -> ServiceResponse:
+        """Settle a bulk request that a fleet peer stole, from the
+        peer's report: coalesced waiters and the journal entry resolve
+        as for a follower of the peer's computation (no compute or
+        service time is counted here; the peer counts those)."""
+        if response.ok:
+            future.set_result(("ok", response.payload["result"]))
+            self._journal_settle(journal_id, COMPLETED)
+            self.metrics.tenant(request.effective_tenant).completed += 1
+        else:
+            future.set_result(("error", response.payload.get("error")))
+            self._journal_settle(journal_id, FAILED)
+        return response
+
     # ------------------------------------------------------------------
     # Journal plumbing
     # ------------------------------------------------------------------
@@ -791,15 +820,19 @@ class SimulationService:
             <= self.config.bulk_cap + 1e-9
         )
 
-    async def _await_bulk_admission(self, tenant: str) -> None:
+    async def _await_bulk_admission(
+        self, request: SimRequest, key: str
+    ) -> Optional[ServiceResponse]:
         """Queue a bulk ticket on the tenant's fair-share lane and
-        wait for the admission loop to grant it (the grant reserves
-        the pool slot and the tenant's in-flight unit)."""
-        event = asyncio.Event()
+        wait until it leaves: ``None`` when the admission loop granted
+        it (the grant reserves the pool slot and the tenant's
+        in-flight unit), else the response of the fleet peer that
+        stole it."""
+        waiter = BulkWaiter(request, key, self._loop.create_future())
         async with self._cond:
-            self._bulk_queue.push(tenant, event)
+            self._bulk_queue.push(request.effective_tenant, waiter)
             self._cond.notify_all()
-        await event.wait()
+        return await waiter.future
 
     async def _admission_loop(self) -> None:
         """Grant queued bulk tickets whenever the cap leaves a gap —
@@ -821,9 +854,11 @@ class SimulationService:
                     if self._bulk_queue:
                         self.metrics.counters.cap_deferrals += 1
                     await self._cond.wait()
+                if ticket.item.future.done():
+                    continue  # its waiter was cancelled
                 self._busy += 1  # reserve the slot before handing off
                 self.tenancy.begin_dispatch(ticket.tenant)
-                ticket.item.set()
+                ticket.item.future.set_result(None)
 
     async def _notify(self) -> None:
         async with self._cond:

@@ -1,18 +1,22 @@
 """Scale-out serving: a consistent-hash sharded fleet of daemons.
 
-PR 4–6 built one self-healing daemon; this module grows it into a
-*fleet* that behaves like one big content-addressed service.  ``N``
-``repro serve`` daemons self-assemble — the first boot is the
-*coordinator*, later boots join it with ``repro serve --join
-HOST:PORT`` — and agree on a deterministic
-:class:`~repro.service.ring.HashRing` over replica ids.  Three
-mechanisms make the fleet more than N isolated daemons:
+A *fleet* is ``N`` ``repro serve`` daemons that behave like one big
+content-addressed service.  The first boot is the *coordinator*,
+later boots join it with ``repro serve --join HOST:PORT``, and all of
+them agree on a deterministic :class:`~repro.service.ring.HashRing`
+over replica ids.  A solo daemon is a one-member fleet on the same
+code path.  Three mechanisms make the fleet more than N isolated
+daemons:
 
 * **Content-address routing** — every request's RunStore key (already
   a SHA-256, see :meth:`SimRequest.run_payload`) has exactly one ring
   *owner*.  A replica receiving a client request forwards it to the
-  owner, so repeated configurations always land on the same replica
-  and cache locality is structural rather than accidental.
+  owner, and the owner passes every request it owns, bulk or
+  interactive, to its :meth:`SimulationService.submit`.  Repeated
+  configurations always land on the same replica, and journaling,
+  fair-share order, ``max_queue``, tenant quotas and ``Retry-After``
+  each have one implementation — the service's — in every deployment
+  shape.
 
 * **Peer cache + replication** — when a replica computes a key it
   does not own (stolen work, or an unreachable owner), it first asks
@@ -24,20 +28,17 @@ mechanisms make the fleet more than N isolated daemons:
   deterministic, which is what makes this replication trivially
   consistent: any copy of a key is byte-identical, first write wins.
 
-* **Work-stealing bulk sweeps** — bulk requests queue in a per-replica
-  *backlog* in front of the admission cap (only ``bulk_slots()``
-  dispatches are fed to the service at once, so the backlog stays
-  visible).  An idle replica — empty backlog, admission slots free —
-  polls peers and *steals* queued entries from their backlog tails
-  (classic tail-stealing: the victim keeps its oldest, most
-  cache-local work).  The victim parks the stolen entry's waiter and
-  the thief reports the result back; a thief that dies simply times
-  out and the victim re-enqueues (``steal_requeues``) — safe because
-  every computation is deterministic and cache-absorbed.
-
-Interactive requests never touch the backlog: they are forwarded to
-their owner and dispatched immediately under that replica's own
-Table 8-style utilization cap, exactly as on a single daemon.
+* **Work-stealing bulk sweeps** — a replica's only bulk queue is its
+  service's :class:`~repro.service.tenancy.TenantFairQueue`.  An idle
+  replica (empty fair queue, every stolen entry reported, a cap that
+  admits one more bulk dispatch) polls peers, and a victim grants it
+  the stealable tickets its fair queue would dispatch last.  The
+  victim's waiter keeps waiting and settles from the thief's report;
+  a thief that dies simply times out and the victim requeues the
+  ticket at its arrival position (``steal_requeues``) — safe because
+  every computation is deterministic and cache-absorbed.  Stolen
+  entries run through the thief's own service and are never stolen
+  again.
 
 Two transports implement the peer protocol: :class:`LocalTransport`
 (direct coroutine calls, for the in-process fleets the tests, bench
@@ -46,19 +47,17 @@ keep-alive sockets against the peer's ``/fleet/*`` routes).  The
 fleet logic cannot tell them apart.
 
 See ``DESIGN.md`` §14 for the topology, join protocol, consistency
-model and steal policy.
+model, steal policy and the counters a stolen entry increments.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     List,
     Optional,
@@ -70,13 +69,13 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.service.client import ServiceReply
 from repro.service.daemon import ServiceConfig, SimulationService
 from repro.service.requests import (
-    BULK,
     INTERACTIVE,
     ServiceResponse,
     SimRequest,
 )
 from repro.service.ring import DEFAULT_VNODES, HashRing
-from repro.store import PEER_MISS, content_key
+from repro.service.tenancy import TenantTicket
+from repro.store import PEER_MISS
 
 
 @dataclass
@@ -93,31 +92,23 @@ class FleetConfig:
         boot).  Joined replicas refuse ``/fleet/join`` with a 409.
     vnodes:
         Virtual ring points per replica (see :class:`HashRing`).
-    max_backlog:
-        Bulk backlog bound; arrivals beyond it bounce with 429
-        backpressure (the fleet-level analogue of ``max_queue``).
     steal_batch:
         Most entries granted per steal request.
     steal_interval:
         Idle-poll period (seconds) of the steal loop.
     steal_timeout:
         Seconds a stolen entry may stay unreported before the victim
-        re-enqueues it locally.
+        requeues it locally.
     """
 
     replica_id: str = "r0"
     coordinator: bool = True
     vnodes: int = DEFAULT_VNODES
-    max_backlog: int = 1024
     steal_batch: int = 2
     steal_interval: float = 0.05
     steal_timeout: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.max_backlog < 1:
-            raise ConfigurationError(
-                f"max_backlog must be >= 1: {self.max_backlog}"
-            )
         if self.steal_batch < 1:
             raise ConfigurationError(
                 f"steal_batch must be >= 1: {self.steal_batch}"
@@ -130,23 +121,6 @@ class FleetConfig:
             raise ConfigurationError(
                 f"steal_timeout must be positive: {self.steal_timeout}"
             )
-
-
-@dataclass
-class _BulkEntry:
-    """One queued bulk request in the stealable backlog."""
-
-    entry_id: int
-    request: SimRequest
-    key: str
-    #: Local waiter (None on stolen-in entries, whose result goes back
-    #: to the victim instead).
-    future: Optional["asyncio.Future[ServiceResponse]"] = None
-    #: Victim replica + its entry id, set on stolen-in entries.
-    victim: Optional[str] = None
-    remote_id: Optional[int] = None
-    #: Stolen-in entries must not be re-stolen (no ping-pong).
-    stealable: bool = True
 
 
 def _request_payload(request: SimRequest) -> Dict[str, Any]:
@@ -197,15 +171,15 @@ class FleetMember:
         self._members: Dict[str, Tuple[str, int]] = {}
         self._next_index = 1
         self._advertise: Optional[Tuple[str, int]] = None
-        self._backlog: Deque[_BulkEntry] = deque()
-        self._stolen_out: Dict[int, _BulkEntry] = {}
+        #: Victim side: fair-queue tickets granted to thieves, by entry
+        #: id (the ticket's ``seq``), each under a steal deadline.
+        self._stolen_out: Dict[int, TenantTicket] = {}
         self._steal_timers: Dict[int, asyncio.TimerHandle] = {}
-        self._entry_seq = 0
-        self._pump_inflight = 0
+        #: Thief side: content keys of stolen entries not yet reported
+        #: (their tickets here are never granted onward).
+        self._stolen_in: List[Optional[str]] = []
         self._tasks: set = set()
-        self._wake: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pump_task: Optional[asyncio.Task] = None
         self._steal_task: Optional[asyncio.Task] = None
         self._closing = False
 
@@ -213,47 +187,39 @@ class FleetMember:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Start the backlog pump and the steal loop (call once, on
-        the event loop, after ``service.start()``)."""
+        """Start the steal loop (call once, on the event loop, after
+        ``service.start()``)."""
         self._loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
-        self._pump_task = self._loop.create_task(self._pump_loop())
         self._steal_task = self._loop.create_task(self._steal_loop())
 
     def begin_close(self) -> None:
-        """Stop acquiring work: no new backlog entries, no stealing,
-        no steal grants.  In-flight and stolen-out work still settles."""
+        """Stop acquiring work: no stealing, no steal grants.  Stolen
+        work still settles in both directions."""
         self._closing = True
 
     async def wait_idle(self, timeout: float = 120.0) -> None:
-        """Wait until the backlog is drained, every pumped dispatch
-        finished and every stolen-out entry settled or re-enqueued."""
+        """Wait until every stolen-out ticket is settled or requeued
+        and every stolen-in entry has been reported."""
         deadline = self._loop.time() + timeout
-        while (
-            self._backlog
-            or self._pump_inflight
-            or self._stolen_out
-        ):
+        while self._stolen_out or self._stolen_in:
             if self._loop.time() > deadline:
                 raise ServiceError(
                     f"fleet member {self.replica_id} not idle after "
-                    f"{timeout:.0f}s: backlog={len(self._backlog)} "
-                    f"inflight={self._pump_inflight} "
-                    f"stolen_out={len(self._stolen_out)}"
+                    f"{timeout:.0f}s: "
+                    f"stolen_out={len(self._stolen_out)} "
+                    f"stolen_in={len(self._stolen_in)}"
                 )
-            self._kick()
             await asyncio.sleep(0.01)
 
     async def finish_close(self) -> None:
-        """Cancel the loops and close peer transports."""
-        for task in (self._pump_task, self._steal_task):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._pump_task = self._steal_task = None
+        """Cancel the steal loop and close peer transports."""
+        if self._steal_task is not None:
+            self._steal_task.cancel()
+            try:
+                await self._steal_task
+            except asyncio.CancelledError:
+                pass
+            self._steal_task = None
         for timer in self._steal_timers.values():
             timer.cancel()
         self._steal_timers.clear()
@@ -270,6 +236,12 @@ class FleetMember:
         await self.wait_idle()
         await self.finish_close()
 
+    def _spawn(self, coro: Any) -> None:
+        """Run ``coro`` as a task this member keeps a reference to."""
+        task = self._loop.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -280,9 +252,6 @@ class FleetMember:
     @property
     def replica_count(self) -> int:
         return len(self.ring)
-
-    def backlog_depth(self) -> int:
-        return len(self._backlog)
 
     def set_advertise(self, host: str, port: int) -> None:
         """Record the address peers can reach this replica at (the
@@ -297,7 +266,6 @@ class FleetMember:
             "replica_id": self.replica_id,
             "replica_count": self.replica_count,
             "replicas": self.ring.replicas,
-            "backlog_depth": len(self._backlog),
             "stolen_outstanding": len(self._stolen_out),
         }
         return snap
@@ -333,18 +301,12 @@ class FleetMember:
     # Request entry points
     # ------------------------------------------------------------------
     async def submit(self, request: SimRequest) -> ServiceResponse:
-        """Front-door entry: route by content address.  With a
-        single-member ring this is exactly ``service.submit`` — a solo
-        daemon keeps its PR 4–6 behavior bit for bit."""
-        if self.replica_count <= 1:
+        """Front-door entry: route by content address.  The key's ring
+        owner serves the request through ``service.submit``; on a
+        one-member ring that is always this replica."""
+        owner, key = self._remote_owner(request)
+        if owner is None:
             return await self.service.submit(request)
-        validated = self._validate(request)
-        if isinstance(validated, ServiceResponse):
-            return validated
-        key, _scale = validated
-        owner = self.ring.owner(key)
-        if owner == self.replica_id or owner not in self.peers:
-            return await self.handle_owned(request, key)
         self.counters.forwards += 1
         try:
             status, payload = await self.peers[owner].run(
@@ -360,111 +322,23 @@ class FleetMember:
         """A peer routed ``request`` here because we own its key.
         Never re-forward (membership skew between two replicas must
         not bounce a request around the ring)."""
-        validated = self._validate(request)
-        if isinstance(validated, ServiceResponse):
-            return validated
-        key, _scale = validated
-        return await self.handle_owned(request, key)
+        return await self.service.submit(request)
 
-    async def handle_owned(
-        self, request: SimRequest, key: str
-    ) -> ServiceResponse:
-        """Serve a request whose key this replica owns."""
-        if request.priority == INTERACTIVE:
-            # Natives dispatch immediately under the local cap.
-            return await self.service.submit(request)
-        if (
-            self.service.has_cached(key)
-            or self.service.is_inflight(key)
-        ):
-            # Fast path: the answer exists (or is being computed) —
-            # service.submit resolves it without a pool dispatch.
-            return await self.service.submit(request)
-        if self._closing or self.service.draining:
-            self.counters.drain_rejections += 1
-            return ServiceResponse(
-                503,
-                {"status": "draining", "error": "service is draining"},
-            )
-        tenant = request.effective_tenant
-        quota = self.service.config.tenant_quota
-        if quota is not None:
-            limit = quota.max_backlog(self.config.max_backlog)
-            queued = sum(
-                1
-                for e in self._backlog
-                if e.request.effective_tenant == tenant
-            )
-            if queued >= limit:
-                self.counters.rejections += 1
-                self.counters.quota_rejections += 1
-                tenant_counters = self.service.metrics.tenant(tenant)
-                tenant_counters.rejections += 1
-                tenant_counters.quota_rejections += 1
-                retry_after = self._retry_after(queued, tenant)
-                return ServiceResponse(
-                    429,
-                    {"status": "rejected",
-                     "error": (
-                         f"tenant {tenant!r} over fleet backlog share "
-                         f"({queued}/{limit} queued)"
-                     ),
-                     "tenant": tenant, "quota": True,
-                     "retry_after_s": retry_after},
-                    retry_after=retry_after,
-                )
-        if len(self._backlog) >= self.config.max_backlog:
-            self.counters.rejections += 1
-            self.service.metrics.tenant(tenant).rejections += 1
-            retry_after = self._retry_after(
-                len(self._backlog), tenant
-            )
-            return ServiceResponse(
-                429,
-                {"status": "rejected", "error": "fleet backlog full",
-                 "tenant": tenant, "retry_after_s": retry_after},
-                retry_after=retry_after,
-            )
-        entry = self._new_entry(request, key)
-        entry.future = self._loop.create_future()
-        self._backlog.append(entry)
-        self._kick()
-        return await asyncio.shield(entry.future)
-
-    def _validate(self, request: SimRequest):
-        """400 response for a bad request, else ``(key, scale)``."""
-        from repro.experiments.registry import SPECS
-
+    def _remote_owner(
+        self, request: SimRequest
+    ) -> Tuple[Optional[str], Optional[str]]:
+        """``(owner, key)`` when a peer owns the request's key, else
+        ``(None, key)``: this replica serves it because it owns the
+        key, does not know the owner, or the request does not
+        validate (then the service answers its usual 400)."""
         try:
-            if request.experiment not in SPECS:
-                raise ServiceError(
-                    f"unknown experiment {request.experiment!r}; "
-                    f"see 'repro list'"
-                )
-            scale = request.resolve_scale(self.service.default_scale)
-        except ServiceError as exc:
-            return ServiceResponse(
-                400, {"status": "error", "error": str(exc)}
-            )
-        return content_key(request.run_payload(scale)), scale
-
-    def _retry_after(
-        self, depth: int, tenant: Optional[str] = None
-    ) -> float:
-        base = self.service.metrics.estimated_service_time(
-            BULK, tenant
-        )
-        per_request = self.service.tenancy.predicted_service_time(
-            tenant, base
-        )
-        lanes = max(1, self.service.bulk_slots()) * max(
-            1, self.replica_count
-        )
-        return max(1.0, depth * per_request / lanes)
-
-    def _new_entry(self, request: SimRequest, key: str) -> _BulkEntry:
-        self._entry_seq += 1
-        return _BulkEntry(self._entry_seq, request, key)
+            _scale, key = self.service.resolve(request)
+        except ServiceError:
+            return None, None
+        owner = self.ring.owner(key)
+        if owner == self.replica_id or owner not in self.peers:
+            return None, key
+        return owner, key
 
     # ------------------------------------------------------------------
     # Peer protocol handlers (called by transports / HTTP routes)
@@ -485,68 +359,63 @@ class FleetMember:
     def handle_steal(
         self, thief: str, max_n: int
     ) -> List[Dict[str, Any]]:
-        """Grant up to ``max_n`` backlog entries to ``thief`` (tail
-        first, stealable only).  Granted entries are parked with a
-        deadline: an unreported theft is re-enqueued locally."""
-        granted: List[Dict[str, Any]] = []
+        """Grant ``thief`` up to ``max_n`` (at most ``steal_batch``)
+        queued bulk tickets: the stealable ones the fair queue would
+        dispatch last.  Each waits in ``_stolen_out`` under a
+        ``steal_timeout`` deadline while its waiter waits for the
+        thief's report."""
         if self._closing or self.service.draining:
-            return granted
-        budget = max(0, min(max_n, self.config.steal_batch))
-        while budget > len(granted):
-            idx = next(
-                (
-                    i
-                    for i in range(len(self._backlog) - 1, -1, -1)
-                    if self._backlog[i].stealable
-                ),
-                None,
-            )
-            if idx is None:
-                break
-            entry = self._backlog[idx]
-            del self._backlog[idx]
-            self._stolen_out[entry.entry_id] = entry
-            self._steal_timers[entry.entry_id] = self._loop.call_later(
+            return []
+        tickets = self.service.tenancy.queue.steal(
+            min(max_n, self.config.steal_batch), self._stealable
+        )
+        for ticket in tickets:
+            self._stolen_out[ticket.seq] = ticket
+            self._steal_timers[ticket.seq] = self._loop.call_later(
                 self.config.steal_timeout,
                 self._steal_deadline,
-                entry.entry_id,
+                ticket.seq,
             )
-            self.counters.steals_granted += 1
-            granted.append(
-                {
-                    "entry_id": entry.entry_id,
-                    "request": _request_payload(entry.request),
-                }
-            )
-        return granted
+        self.counters.steals_granted += len(tickets)
+        return [
+            {
+                "entry_id": ticket.seq,
+                "request": _request_payload(ticket.item.request),
+            }
+            for ticket in tickets
+        ]
+
+    def _stealable(self, ticket: TenantTicket) -> bool:
+        """Stolen-in entries are never granted onward (no ping-pong)."""
+        return ticket.item.key not in self._stolen_in
 
     def handle_stolen(
         self, entry_id: int, status: int, payload: Dict[str, Any]
     ) -> None:
-        """A thief reports the outcome of a stolen entry."""
+        """A thief reports the outcome of a stolen ticket; its waiter
+        settles from the report.  A 429 or 503 means the thief refused
+        the work: the ticket goes back to its arrival position in the
+        fair queue."""
         timer = self._steal_timers.pop(entry_id, None)
         if timer is not None:
             timer.cancel()
-        entry = self._stolen_out.pop(entry_id, None)
-        if (
-            entry is not None
-            and entry.future is not None
-            and not entry.future.done()
-        ):
-            entry.future.set_result(ServiceResponse(status, payload))
+        ticket = self._stolen_out.pop(entry_id, None)
+        if ticket is None:
+            return
+        if status in (429, 503):
+            self.counters.steal_requeues += 1
+            self._spawn(self.service.requeue_bulk(ticket))
+        elif not ticket.item.future.done():
+            ticket.item.future.set_result(
+                ServiceResponse(status, payload)
+            )
 
     def _steal_deadline(self, entry_id: int) -> None:
-        """The thief never reported: take the entry back.  Safe even
-        if the thief later completes — the settle is first-wins on the
-        future, and any duplicate compute is deterministic and
-        cache-absorbed."""
-        self._steal_timers.pop(entry_id, None)
-        entry = self._stolen_out.pop(entry_id, None)
-        if entry is None:
-            return
-        self.counters.steal_requeues += 1
-        self._backlog.append(entry)
-        self._kick()
+        """The thief never reported: take the ticket back as if it had
+        refused the work.  Safe even if the thief later completes — its
+        late report finds nothing to settle, and any duplicate compute
+        is deterministic and cache-absorbed."""
+        self.handle_stolen(entry_id, 503, {})
 
     # ------------------------------------------------------------------
     # Membership / join protocol
@@ -574,11 +443,7 @@ class FleetMember:
         for peer_id in list(self.peers):
             if peer_id == rid:
                 continue  # the newcomer learns from the join reply
-            task = self._loop.create_task(
-                self._push_membership(peer_id, members)
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            self._spawn(self._push_membership(peer_id, members))
         return {
             "id": rid,
             "members": members,
@@ -638,50 +503,84 @@ class FleetMember:
         return reply
 
     # ------------------------------------------------------------------
-    # Backlog pump
+    # Stealing (thief side)
     # ------------------------------------------------------------------
-    def _kick(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
+    def _steal_ready(self) -> bool:
+        """Steal only when this replica's bulk tier is idle: an empty
+        fair queue, every stolen entry reported, and a cap that admits
+        one more bulk dispatch."""
+        return (
+            not self._closing
+            and not self.service.draining
+            and not self.service.bulk_queue_depth()
+            and not self._stolen_in
+            and self.service._cap_allows()
+        )
 
-    async def _pump_loop(self) -> None:
-        """Feed the backlog into the service at the admission cap's
-        width, leaving the excess where peers can steal it."""
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            slots = self.service.bulk_slots()
-            while self._backlog and self._pump_inflight < slots:
-                entry = self._backlog.popleft()
-                self._pump_inflight += 1
-                task = self._loop.create_task(self._drive(entry))
-                self._tasks.add(task)
-                task.add_done_callback(self._drive_done)
+    async def _steal_loop(self) -> None:
+        rotation = 0
+        # Ends on ``_closing`` as well as on cancellation, because
+        # ``finish_close`` awaits this task and, on Python 3.11,
+        # ``asyncio.wait_for`` inside a peer RPC drops a cancel that
+        # lands as its inner call completes.
+        while not self._closing:
+            await asyncio.sleep(self.config.steal_interval)
+            if not self._steal_ready():
+                continue
+            peer_ids = [
+                rid for rid in self.ring.replicas
+                if rid != self.replica_id and rid in self.peers
+            ]
+            if not peer_ids:
+                continue
+            for offset in range(len(peer_ids)):
+                victim = peer_ids[(rotation + offset) % len(peer_ids)]
+                try:
+                    grants = await self.peers[victim].steal(
+                        self.replica_id, self.config.steal_batch
+                    )
+                except Exception:  # noqa: BLE001 - victim unreachable
+                    continue
+                if not grants:
+                    continue
+                self.counters.steals += len(grants)
+                for rec in grants:
+                    request = SimRequest.from_payload(rec["request"])
+                    owner, key = self._remote_owner(request)
+                    self._stolen_in.append(key)
+                    self._spawn(
+                        self._run_stolen(
+                            victim, rec["entry_id"], request, owner, key
+                        )
+                    )
+                break
+            rotation += 1
 
-    def _drive_done(self, task: asyncio.Task) -> None:
-        self._tasks.discard(task)
-        self._pump_inflight -= 1
-        if not task.cancelled():
-            task.exception()  # failures settle inside _drive
-        self._kick()
-
-    async def _drive(self, entry: _BulkEntry) -> None:
-        """Execute one backlog entry (local or stolen) and settle it."""
+    async def _run_stolen(
+        self,
+        victim: str,
+        entry_id: int,
+        request: SimRequest,
+        owner: Optional[str],
+        key: Optional[str],
+    ) -> None:
+        """Run one stolen entry through this replica's service (with
+        the owner's peer cache when a peer owns its key) and report
+        the outcome to the victim."""
         try:
-            owner = self.ring.owner(entry.key)
-            if owner == self.replica_id or owner not in self.peers:
-                response = await self.service.submit(entry.request)
+            if owner is None:
+                response = await self.service.submit(request)
             else:
                 response = await self._run_remote_owned(
-                    entry.request, entry.key, owner
+                    request, key, owner
                 )
-        except Exception as exc:  # noqa: BLE001 - settle, never strand
-            response = ServiceResponse(
-                500,
-                {"status": "error",
-                 "error": f"{type(exc).__name__}: {exc}"},
+            await self.peers[victim].stolen(
+                entry_id, response.status, response.payload
             )
-        await self._settle(entry, response)
+        except Exception:  # noqa: BLE001 - victim requeues on timeout
+            pass
+        finally:
+            self._stolen_in.remove(key)
 
     async def _run_remote_owned(
         self, request: SimRequest, key: str, owner: str
@@ -734,98 +633,6 @@ class FleetMember:
                 "result": text,
             },
         )
-
-    async def _settle(
-        self, entry: _BulkEntry, response: ServiceResponse
-    ) -> None:
-        if entry.victim is not None:
-            transport = self.peers.get(entry.victim)
-            if transport is None:
-                return  # victim gone; its deadline requeues the entry
-            try:
-                await transport.stolen(
-                    entry.remote_id, response.status, response.payload
-                )
-            except Exception:  # noqa: BLE001 - victim requeues on timeout
-                pass
-        elif entry.future is not None and not entry.future.done():
-            entry.future.set_result(response)
-
-    # ------------------------------------------------------------------
-    # Steal loop (thief side)
-    # ------------------------------------------------------------------
-    def _steal_ready(self) -> bool:
-        return (
-            not self._closing
-            and not self.service.draining
-            and self.replica_count > 1
-            and not self._backlog
-            and self._pump_inflight < self.service.bulk_slots()
-        )
-
-    async def _steal_loop(self) -> None:
-        rotation = 0
-        while True:
-            await asyncio.sleep(self.config.steal_interval)
-            if not self._steal_ready():
-                continue
-            peer_ids = [
-                rid for rid in self.ring.replicas
-                if rid != self.replica_id and rid in self.peers
-            ]
-            if not peer_ids:
-                continue
-            for offset in range(len(peer_ids)):
-                victim = peer_ids[(rotation + offset) % len(peer_ids)]
-                try:
-                    grants = await self.peers[victim].steal(
-                        self.replica_id, self.config.steal_batch
-                    )
-                except Exception:  # noqa: BLE001 - victim unreachable
-                    continue
-                if not grants:
-                    continue
-                self.counters.steals += len(grants)
-                for rec in grants:
-                    request = SimRequest.from_payload(rec["request"])
-                    validated = self._validate(request)
-                    if isinstance(validated, ServiceResponse):
-                        # Registry/scale drift between replicas:
-                        # bounce the error straight back.
-                        await self._report_stolen(
-                            victim, rec["entry_id"], validated
-                        )
-                        continue
-                    key, _scale = validated
-                    entry = _BulkEntry(
-                        self._next_entry_id(),
-                        request,
-                        key,
-                        victim=victim,
-                        remote_id=rec["entry_id"],
-                        stealable=False,
-                    )
-                    self._backlog.append(entry)
-                self._kick()
-                break
-            rotation += 1
-
-    def _next_entry_id(self) -> int:
-        self._entry_seq += 1
-        return self._entry_seq
-
-    async def _report_stolen(
-        self, victim: str, remote_id: int, response: ServiceResponse
-    ) -> None:
-        transport = self.peers.get(victim)
-        if transport is None:
-            return
-        try:
-            await transport.stolen(
-                remote_id, response.status, response.payload
-            )
-        except Exception:  # noqa: BLE001 - victim requeues on timeout
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -1073,8 +880,8 @@ class LocalFleet:
     driven synchronously like
     :class:`~repro.service.client.InProcessClient`.
 
-    Use as a context manager; ``__exit__`` drains every backlog and
-    stops every service.
+    Use as a context manager; ``__exit__`` settles stolen work, then
+    drains and stops every service.
     """
 
     def __init__(

@@ -11,13 +11,14 @@ an *unclean* death (crash, SIGKILL) left unfinished are replayed on
 the next boot — the startup banner reports how many.
 
 Every daemon is a fleet replica (see :mod:`repro.service.fleet`): a
-bare boot is a single-member fleet — behaviorally identical to the
-pre-fleet daemon — and the coordinator other daemons can join.  With
-``--join HOST:PORT`` the boot registers with the coordinator at that
-address, adopts its assigned replica id, and starts serving its share
-of the consistent-hash ring.  The fleet shutdown order extends the
-solo one: stop stealing/granting first, settle the bulk backlog and
-any stolen-out entries, then drain the local service as before.
+bare boot is a single-member fleet — every request goes to its own
+service, as on the pre-fleet daemon — and the coordinator other
+daemons can join.  With ``--join HOST:PORT`` the boot registers with
+the coordinator at that address, adopts its assigned replica id, and
+starts serving its share of the consistent-hash ring.  The fleet
+shutdown order extends the solo one: stop stealing/granting first,
+settle stolen entries in both directions, then drain the local
+service as before.
 """
 
 from __future__ import annotations
@@ -123,11 +124,10 @@ async def _serve(
     )
     await shutdown.wait()
     print("repro serve: draining...", file=sys.stderr, flush=True)
-    # Fleet-aware drain: stop acquiring work (no new backlog entries,
-    # no steals in either direction), settle the backlog and any
-    # stolen-out entries, then run the solo drain — refuse new work
-    # but keep /healthz `/metrics` observable while accepted work
-    # completes; only then close the listener.
+    # Fleet-aware drain: stop acquiring work (no steals in either
+    # direction), settle stolen entries, then run the solo drain —
+    # refuse new work but keep /healthz `/metrics` observable while
+    # accepted work completes; only then close the listener.
     member.begin_close()
     await member.wait_idle()
     await service.drain()

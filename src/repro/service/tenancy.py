@@ -43,7 +43,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sched.fairshare import FairShareTracker
@@ -127,9 +127,10 @@ class TenantQuota:
 @dataclass
 class TenantTicket:
     """One queued bulk admission: an opaque payload (the daemon stores
-    an ``asyncio.Event``) tagged with its tenant, a global arrival
-    sequence number (the deterministic tie-break) and its enqueue
-    time (the starvation-guard wait term)."""
+    a :class:`~repro.service.daemon.BulkWaiter`) tagged with its
+    tenant, a global arrival sequence number (the deterministic
+    tie-break) and its enqueue time (the starvation-guard wait
+    term)."""
 
     tenant: str
     seq: int
@@ -152,6 +153,10 @@ class TenantFairQueue:
     inputs (clock, tracker) are injected, so the ordering is a pure
     function of charge history and arrival order: same tenant mix +
     same charges → identical dequeue order.
+
+    It is a fleet replica's only bulk queue: :meth:`steal` hands the
+    tickets it would dispatch last to an idle peer, and
+    :meth:`requeue` takes back one the peer never ran.
     """
 
     def __init__(
@@ -204,6 +209,9 @@ class TenantFairQueue:
             + waited / self.wait_norm_s
         )
 
+    def _pop_key(self, ticket: TenantTicket, now: float):
+        return (-self._score(ticket, now), ticket.seq)
+
     def pop(
         self, eligible: Optional[Callable[[str], bool]] = None
     ) -> Optional[TenantTicket]:
@@ -219,8 +227,7 @@ class TenantFairQueue:
                 continue
             if eligible is not None and not eligible(tenant):
                 continue
-            head = lane[0]
-            key = (-self._score(head, now), head.seq)
+            key = self._pop_key(lane[0], now)
             if best is None or key < best:
                 best = key
                 best_tenant = tenant
@@ -232,6 +239,40 @@ class TenantFairQueue:
             del self._lanes[best_tenant]
         self._size -= 1
         return ticket
+
+    def steal(
+        self, n: int, stealable: Callable[[TenantTicket], bool]
+    ) -> List[TenantTicket]:
+        """Remove and return (in pop order) the last ``n`` tickets
+        passing ``stealable`` that successive :meth:`pop` calls would
+        return at this instant — the work this queue would dispatch
+        last.  Within a lane both ``seq`` and ``enqueued_at`` grow, so
+        pop order is one sort of every ticket by pop's own key."""
+        now = self._clock()
+        order = sorted(
+            (ticket for lane in self._lanes.values() for ticket in lane),
+            key=lambda ticket: self._pop_key(ticket, now),
+        )
+        candidates = [ticket for ticket in order if stealable(ticket)]
+        taken = candidates[max(0, len(candidates) - n):]
+        for ticket in taken:
+            lane = self._lanes[ticket.tenant]
+            lane.remove(ticket)
+            if not lane:
+                del self._lanes[ticket.tenant]
+        self._size -= len(taken)
+        return taken
+
+    def requeue(self, ticket: TenantTicket) -> None:
+        """Put a ticket taken by :meth:`steal` back at its arrival
+        position in its lane (by ``seq``), with its original enqueue
+        time, so it keeps the wait credit it had earned."""
+        lane = self._lanes.setdefault(ticket.tenant, deque())
+        index = len(lane)
+        while index and lane[index - 1].seq > ticket.seq:
+            index -= 1
+        lane.insert(index, ticket)
+        self._size += 1
 
 
 class TenantAdmission:

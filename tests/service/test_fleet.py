@@ -3,10 +3,12 @@
 Three layers:
 
 * :class:`LocalFleet` (direct-call transport) pins the fleet *logic*
-  — routing by content address, single-member passthrough, peer cache
-  hits/replication, work-stealing with timeout requeue, fleet-level
-  backpressure and metrics aggregation — plus the acceptance property
-  that a fleet sweep is byte-identical to a serial solo run.
+  — routing by content address, the one-member fleet as the solo
+  daemon, peer cache hits/replication, work-stealing from the fair
+  queue with timeout requeue, and metrics aggregation — plus the
+  acceptance property that a fleet sweep is byte-identical to a
+  serial solo run, and parity with the solo daemon's bulk guarantees
+  (fair-share order, journaling, ``max_queue``).
 * An in-process HTTP fleet (two real front ends, joined over
   ``/fleet/join`` with :class:`HttpPeerTransport` peers) pins the
   wire protocol.
@@ -30,6 +32,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.service import (
+    BulkJournal,
     FleetConfig,
     FleetMember,
     HttpFrontend,
@@ -37,8 +40,9 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.service.daemon import BulkWaiter
 from repro.service.requests import SimRequest
-from tests.service.conftest import make_service, quick_worker
+from tests.service.conftest import GatedWorker, make_service, quick_worker
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -59,10 +63,47 @@ def _fleet(replicas, **fleet_kwargs):
     )
 
 
+def _held_fleet(replicas, worker_fn, *, steal_timeout=5.0, **service_kwargs):
+    """Replicas with one worker and ``bulk_cap=1.0`` (one serialized
+    bulk lane each) running ``worker_fn``, with stealing parked so the
+    test alone decides what leaves a queue."""
+    return LocalFleet(
+        replicas,
+        service_config=ServiceConfig(
+            workers=1, bulk_cap=1.0, **service_kwargs
+        ),
+        fleet_config=FleetConfig(
+            steal_interval=60.0, steal_timeout=steal_timeout
+        ),
+        pool_factory=_thread_pool,
+        worker_fn=worker_fn,
+    )
+
+
+def _seeds_owned_by(member, owner, n, start=0):
+    """The first ``n`` table1 seeds from ``start`` whose key ``owner``
+    owns on ``member``'s ring."""
+    seeds = []
+    seed = start
+    while len(seeds) < n:
+        request = SimRequest(experiment="table1", seed=seed)
+        key = request.run_key(member.service.default_scale)
+        if member.ring.owner(key) == owner:
+            seeds.append(seed)
+        seed += 1
+    return seeds
+
+
+def _push_ticket(member, seed, key):
+    """Queue a bulk ticket on ``member``'s fair queue by hand, without
+    waking its admission loop."""
+    request = SimRequest(experiment="table1", seed=seed, priority="bulk")
+    waiter = BulkWaiter(request, key, member._loop.create_future())
+    member.service.tenancy.queue.push(request.effective_tenant, waiter)
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError):
-            FleetConfig(max_backlog=0)
         with pytest.raises(ConfigurationError):
             FleetConfig(steal_batch=0)
         with pytest.raises(ConfigurationError):
@@ -236,132 +277,294 @@ class TestWorkStealing:
             assert m0.counters.steal_requeues == 0
 
     def test_steal_grant_respects_batch_and_flags(self):
-        with _fleet(2, steal_batch=2) as fleet:
+        with _fleet(2, steal_batch=2, steal_interval=60.0) as fleet:
             member = fleet.members[0]
+            queue = member.service.tenancy.queue
 
-            def setup():
-                member._closing = False
+            def grant():
                 for seed in range(5):
-                    request = SimRequest(
-                        experiment="table1",
-                        seed=seed,
-                        priority="bulk",
-                    )
-                    entry = member._new_entry(request, f"key-{seed}")
-                    member._backlog.append(entry)
-                member._backlog[-1].stealable = False
-                return member.handle_steal("r1", 10)
-
-            granted = fleet._await(_as_coro(setup))
-            # batch cap (2) binds before max_n (10); the unstealable
-            # tail entry is skipped.
-            assert len(granted) == 2
-            assert member.counters.steals_granted == 2
-            assert len(member._stolen_out) == 2
-            assert len(member._backlog) == 3
-            # Settle the parked entries so teardown's wait_idle is
-            # clean.
-            for rec in granted:
-                fleet._await(
-                    _as_coro(
-                        lambda rec=rec: member.handle_stolen(
-                            rec["entry_id"], 200, {"status": "ok"}
-                        )
-                    )
+                    _push_ticket(member, seed, f"key-{seed}")
+                # The ticket a grant would take first is a stolen-in
+                # entry on this replica.
+                member._stolen_in.append("key-4")
+                granted = member.handle_steal("r1", 10)
+                seen = (
+                    granted,
+                    member.counters.steals_granted,
+                    len(member._stolen_out),
+                    len(queue),
                 )
-            fleet._await(_as_coro(lambda: member._backlog.clear()))
+                # Settle the parked tickets and empty the queue so
+                # teardown is clean.
+                for rec in granted:
+                    member.handle_stolen(
+                        rec["entry_id"], 200, {"status": "ok"}
+                    )
+                member._stolen_in.clear()
+                while queue.pop() is not None:
+                    pass
+                return seen
+
+            granted, steals_granted, stolen_out, depth = fleet._await(
+                _as_coro(grant)
+            )
+            # batch cap (2) binds before max_n (10); the stolen-in
+            # entry is skipped, so the grant is the next two the fair
+            # queue would dispatch last.
+            assert len(granted) == 2
+            assert [rec["request"]["seed"] for rec in granted] == [2, 3]
+            assert steals_granted == 2
+            assert stolen_out == 2
+            assert depth == 3
 
     def test_steal_timeout_requeues_entry(self):
         """A thief that never reports: the victim's deadline fires,
-        the entry re-enters the backlog, and the original waiter
+        the ticket re-enters the fair queue, and the original waiter
         still gets an answer."""
-        with _fleet(2, steal_timeout=0.2) as fleet:
+        gated = GatedWorker()
+        with _held_fleet(2, gated, steal_timeout=0.2) as fleet:
             member = fleet.members[0]
-            # Stop the real pump/steal loops from touching the entry
-            # until the deadline fires, by granting it to a fake
-            # thief by hand.
-            done = []
+            holder_seed, seed = _seeds_owned_by(member, "r0", 2, 770)
 
-            def grab():
-                request = SimRequest(
-                    experiment="table1", seed=777, priority="bulk"
+            async def scenario():
+                # An interactive dispatch holds the only worker, so
+                # the cap keeps the bulk request queued until a fake
+                # thief is granted it.
+                holder = asyncio.ensure_future(
+                    member.submit(SimRequest("table1", seed=holder_seed))
                 )
-                key = request.run_key(member.service.default_scale)
-                entry = member._new_entry(request, key)
-                entry.future = member._loop.create_future()
-                entry.future.add_done_callback(done.append)
-                member._backlog.append(entry)
+                await asyncio.sleep(0.05)
+                waiter = asyncio.ensure_future(
+                    member.submit(
+                        SimRequest("table1", seed=seed, priority="bulk")
+                    )
+                )
+                await asyncio.sleep(0.05)
                 granted = member.handle_steal("ghost", 1)
-                assert len(granted) == 1
-                return granted
+                gated.release()
+                return granted, await waiter, await holder
 
-            fleet._await(_as_coro(grab))
-            deadline = time.monotonic() + 5.0
-            while not done and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert done, "requeued entry never completed"
-            response = done[0].result()
-            assert response.ok
+            granted, response, held = fleet._await(scenario())
+            assert len(granted) == 1
+            assert response.ok and held.ok
+            assert response.payload["seed"] == seed
+            assert member.counters.steals_granted == 1
             assert member.counters.steal_requeues == 1
+
+    def test_refused_steal_requeues_entry(self):
+        """A thief that reports 429 (its own queue or tenant share was
+        full) did not run the entry: the victim requeues the ticket
+        instead of answering its waiter with the thief's 429."""
+        gated = GatedWorker()
+        with _held_fleet(2, gated) as fleet:
+            member = fleet.members[0]
+            holder_seed, seed = _seeds_owned_by(member, "r0", 2, 880)
+
+            async def scenario():
+                holder = asyncio.ensure_future(
+                    member.submit(SimRequest("table1", seed=holder_seed))
+                )
+                await asyncio.sleep(0.05)
+                waiter = asyncio.ensure_future(
+                    member.submit(
+                        SimRequest("table1", seed=seed, priority="bulk")
+                    )
+                )
+                await asyncio.sleep(0.05)
+                (rec,) = member.handle_steal("r1", 1)
+                member.handle_stolen(
+                    rec["entry_id"], 429,
+                    {"status": "rejected", "error": "bulk queue full"},
+                )
+                gated.release()
+                return await waiter, await holder
+
+            response, held = fleet._await(scenario())
+            assert response.ok and held.ok
+            assert response.payload["seed"] == seed
+            assert member.counters.steal_requeues == 1
+
+    def test_close_survives_a_swallowed_cancel(self):
+        """``finish_close`` returns even when the cancel it sends the
+        steal loop is lost inside a peer RPC (``asyncio.wait_for`` on
+        Python 3.11 drops a cancel that races its inner call)."""
+
+        class SwallowingPeer:
+            def __init__(self):
+                self.entered = asyncio.Event()
+
+            async def steal(self, thief, max_n):
+                self.entered.set()
+                try:
+                    await asyncio.sleep(30.0)
+                except asyncio.CancelledError:
+                    pass  # the cancel is lost, as wait_for can lose it
+                return []
+
+        with _fleet(2) as fleet:
+            member = fleet.members[0]
+
+            async def close():
+                peer = SwallowingPeer()
+                member.peers["r1"] = peer
+                await asyncio.wait_for(peer.entered.wait(), 5.0)
+                member.begin_close()
+                closing = asyncio.ensure_future(member.finish_close())
+                done, _ = await asyncio.wait({closing}, timeout=5.0)
+                return closing in done
+
+            assert fleet._await(close()), "finish_close hung"
 
     def test_draining_member_grants_nothing(self):
         with _fleet(2) as fleet:
             member = fleet.members[0]
 
             def check():
-                request = SimRequest(
-                    experiment="table1", seed=5, priority="bulk"
-                )
-                entry = member._new_entry(request, "some-key")
-                member._backlog.append(entry)
+                _push_ticket(member, 5, "some-key")
                 member._closing = True
                 granted = member.handle_steal("r1", 4)
                 member._closing = False
-                member._backlog.clear()
+                member.service.tenancy.queue.pop()
                 return granted
 
             assert fleet._await(_as_coro(check)) == []
 
 
-class TestBackpressure:
-    def test_backlog_bound_bounces_429(self):
-        with _fleet(2, max_backlog=2) as fleet:
+class TestSoloParity:
+    """A fleet replica keeps the solo daemon's bulk guarantees: every
+    request it owns goes through the same fair queue, journal and
+    ``max_queue`` bound."""
+
+    def test_flood_does_not_starve_newcomer(self):
+        """The fleet form of the solo starvation test: a light tenant
+        submitted after a 10-deep flood is dispatched ahead of the
+        flood's backlog, with every request forwarded to its owner."""
+        order = []
+        lock = threading.Lock()
+
+        def worker(name, scale, store_path, check_invariants):
+            with lock:
+                order.append(scale.seed)
+            time.sleep(0.02)
+            return f"rendered {name} seed={scale.seed}"
+
+        with _held_fleet(2, worker) as fleet:
+            owner, entry = fleet.members
+            flood_seeds = _seeds_owned_by(owner, "r0", 10, 100)
+            light_seeds = _seeds_owned_by(owner, "r0", 3, 1000)
+
+            def submit_all(seeds, tenant):
+                return [
+                    asyncio.ensure_future(
+                        entry.submit(
+                            SimRequest(
+                                "table1", seed=seed, priority="bulk",
+                                tenant=tenant,
+                            )
+                        )
+                    )
+                    for seed in seeds
+                ]
+
+            async def scenario():
+                flood = submit_all(flood_seeds, "flood")
+                await asyncio.sleep(0.05)
+                light = submit_all(light_seeds, "light")
+                return await asyncio.gather(*flood, *light)
+
+            responses = fleet._await(scenario())
+        assert [r.status for r in responses] == [200] * 13
+        assert entry.counters.forwards == 13
+        positions = [
+            i for i, seed in enumerate(order) if seed in light_seeds
+        ]
+        # FIFO would put the light tenant at positions 10-12; fair
+        # share interleaves it ahead of the flood's backlog.
+        assert len(positions) == 3
+        assert max(positions) <= 7, order
+        tenants = owner.service.metrics.tenants
+        assert tenants["flood"].completed == 10
+        assert tenants["light"].completed == 3
+
+    def test_bulk_accepts_are_journaled(self, tmp_path):
+        """Every bulk request a replica accepts is journaled before it
+        waits in the queue, as on a solo daemon."""
+        gated = GatedWorker()
+        fleet = _held_fleet(2, gated)
+        paths = []
+        for member in fleet.members:
+            path = tmp_path / f"{member.replica_id}.jsonl"
+            member.service.journal = BulkJournal(path)
+            paths.append(path)
+
+        def journaled():
+            return sum(len(BulkJournal.read(p)[0]) for p in paths)
+
+        with fleet:
+
+            async def scenario():
+                waiting = [
+                    asyncio.ensure_future(
+                        fleet.members[0].submit(
+                            SimRequest(
+                                "table1", seed=300 + i, priority="bulk"
+                            )
+                        )
+                    )
+                    for i in range(12)
+                ]
+                for _ in range(100):
+                    await asyncio.sleep(0.02)
+                    if journaled() == 12:
+                        break
+                accepts = journaled()
+                gated.release()
+                return accepts, await asyncio.gather(*waiting)
+
+            accepts, replies = fleet._await(scenario())
+        assert accepts == 12
+        assert all(r.ok for r in replies)
+        for path in paths:
+            accepted, settled, _torn = BulkJournal.read(path)
+            assert len(settled) == len(accepted)
+
+    def test_max_queue_bounds_replica(self):
+        """The daemon's ``max_queue`` bounds a fleet replica: with
+        one request in service and two queued, a third owned bulk
+        request gets the "bulk queue full" 429."""
+        gated = GatedWorker()
+        with _held_fleet(2, gated, max_queue=2) as fleet:
             member = fleet.members[0]
+            seeds = _seeds_owned_by(member, "r0", 4, 2000)
+
+            def submit(seed):
+                return asyncio.ensure_future(
+                    member.submit(
+                        SimRequest("table1", seed=seed, priority="bulk")
+                    )
+                )
 
             async def overfill():
-                # Pre-fill the backlog past the bound with inert
-                # entries, then submit a key this replica owns.
-                m0 = member
-                for i in range(2):
-                    request = SimRequest(
-                        experiment="table1",
-                        seed=1000 + i,
-                        priority="bulk",
-                    )
-                    m0._backlog.append(
-                        m0._new_entry(request, f"inert-{i}")
-                    )
-                # Keep the pump from draining them mid-test.
-                m0._pump_inflight = m0.service.bulk_slots()
-                seed = 0
-                while True:
-                    request = SimRequest(
-                        experiment="table1",
-                        seed=2000 + seed,
-                        priority="bulk",
-                    )
-                    key = request.run_key(m0.service.default_scale)
-                    if m0.ring.owner(key) == m0.replica_id:
-                        break
-                    seed += 1
-                response = await m0.handle_owned(request, key)
-                m0._pump_inflight = 0
-                m0._backlog.clear()
-                return response
+                accepted = []
+                for seed in seeds[:3]:
+                    accepted.append(submit(seed))
+                    await asyncio.sleep(0.05)
+                fourth = submit(seeds[3])
+                await asyncio.sleep(0.1)
+                answered_early = fourth.done()
+                gated.release()
+                return (
+                    answered_early,
+                    await fourth,
+                    await asyncio.gather(*accepted),
+                )
 
-            response = fleet._await(overfill())
+            answered_early, response, accepted = fleet._await(overfill())
+            assert answered_early
             assert response.status == 429
+            assert response.payload["error"] == "bulk queue full"
             assert response.payload["retry_after_s"] >= 1.0
+            assert [r.status for r in accepted] == [200] * 3
             assert member.counters.rejections == 1
 
 
@@ -373,8 +576,8 @@ class TestMetrics:
             assert fl["replica_id"] == "r1"
             assert fl["replica_count"] == 3
             assert fl["replicas"] == ["r0", "r1", "r2"]
-            assert fl["backlog_depth"] == 0
             assert fl["stolen_outstanding"] == 0
+            assert snap["bulk_queue_depth"] == 0
 
     def test_fleet_metrics_aggregates_all_replicas(self):
         with _fleet(2) as fleet:
@@ -469,67 +672,55 @@ class TestTenancy:
             assert totals["bob"]["quota_rejections"] == 0
 
     def test_fleet_backlog_share_quota_bounces_flood(self):
-        """The fleet backlog enforces the per-tenant share ahead of
-        the generic full-backlog 429: the flooding tenant is bounced
-        with a tenant-scoped quota reason while the other tenant's
-        lane stays open."""
+        """A fleet replica enforces the per-tenant share of
+        ``max_queue`` ahead of the generic full-queue 429: the
+        flooding tenant is bounced with a tenant-scoped quota reason
+        while the other tenant's lane stays open."""
         from repro.service import TenantQuota
 
+        gated = GatedWorker()
         fleet = LocalFleet(
             1,
             service_config=ServiceConfig(
-                workers=2, bulk_cap=0.5,
+                workers=2, bulk_cap=0.5, max_queue=8,
                 tenant_quota=TenantQuota(8, 0.25),
             ),
-            fleet_config=FleetConfig(max_backlog=8),
             pool_factory=_thread_pool,
-            worker_fn=quick_worker,
+            worker_fn=gated,
         )
         with fleet:
             member = fleet.members[0]
 
+            def bulk(seed, tenant):
+                return member.submit(
+                    SimRequest(
+                        "table2", seed=seed, priority="bulk",
+                        tenant=tenant,
+                    )
+                )
+
             async def overfill():
-                # Per-tenant share: max(1, 0.25 * 8) = 2 queued.
-                # Pre-fill alice's share with inert entries and pin
-                # the pump so nothing drains mid-test.
-                for i in range(2):
-                    member._backlog.append(
-                        member._new_entry(
-                            SimRequest(
-                                "table2", seed=1000 + i,
-                                priority="bulk", tenant="alice",
-                            ),
-                            f"inert-{i}",
-                        )
-                    )
-                member._pump_inflight = member.service.bulk_slots()
-                alice = SimRequest(
-                    "table2", seed=0, priority="bulk", tenant="alice"
-                )
-                bounced = await member.handle_owned(
-                    alice, alice.run_key(member.service.default_scale)
-                )
-                # Bob's share is untouched: his request queues.
-                bob = SimRequest(
-                    "table2", seed=1, priority="bulk", tenant="bob"
-                )
-                bob_task = asyncio.ensure_future(
-                    member.handle_owned(
-                        bob, bob.run_key(member.service.default_scale)
-                    )
+                # Per-tenant share: max(1, 0.25 * 8) = 2 queued.  An
+                # interactive dispatch holds the cap shut
+                # ((1 + 1) / 2 > 0.5), so alice's first two requests
+                # fill her share of the queue.
+                holder = asyncio.ensure_future(
+                    member.submit(SimRequest("table2", seed=99))
                 )
                 await asyncio.sleep(0.05)
+                queued = [
+                    asyncio.ensure_future(bulk(1000 + i, "alice"))
+                    for i in range(2)
+                ]
+                await asyncio.sleep(0.05)
+                bounced = await bulk(0, "alice")
+                # Bob's share is untouched: his request queues.
+                bob_task = asyncio.ensure_future(bulk(1, "bob"))
+                await asyncio.sleep(0.05)
                 bob_queued = not bob_task.done()
-                depth = len(member._backlog)
-                # Drop the inert fillers (fake keys) and let bob's
-                # real entry pump through.
-                for entry in [
-                    e for e in member._backlog
-                    if e.key.startswith("inert-")
-                ]:
-                    member._backlog.remove(entry)
-                member._pump_inflight = 0
-                member._kick()
+                depth = member.service.bulk_queue_depth()
+                gated.release()
+                await asyncio.gather(holder, *queued)
                 return bounced, bob_queued, depth, await bob_task
 
             bounced, bob_queued, depth, bob_reply = fleet._await(
@@ -538,7 +729,7 @@ class TestTenancy:
             assert bounced.status == 429
             assert bounced.payload["quota"] is True
             assert bounced.payload["tenant"] == "alice"
-            assert "fleet backlog share" in bounced.payload["error"]
+            assert "bulk backlog share" in bounced.payload["error"]
             assert bounced.payload["retry_after_s"] >= 1.0
             assert bob_queued and depth == 3
             assert bob_reply.status == 200

@@ -5,7 +5,8 @@ Layers, innermost out:
 * :class:`TenantQuota` / :class:`TenantFairQueue` /
   :class:`TenantAdmission` — pure scheduling units under an injected
   clock (quota parsing, paper-priority dequeue, fair-share interleave,
-  wait-term starvation guard, deterministic replay of a seeded mix);
+  wait-term starvation guard, deterministic replay of a seeded mix,
+  and the steal/requeue contract the fleet grants work by);
 * :class:`WorkerAutoscaler` — the decide/tick control loop against a
   stub service and against the real daemon (grow opens the interstice
   a fractional cap closed on a one-worker pool; shrink returns to the
@@ -24,6 +25,7 @@ Layers, innermost out:
 from __future__ import annotations
 
 import asyncio
+import copy
 import os
 import random
 import signal
@@ -36,6 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SCALES
@@ -228,6 +232,86 @@ class TestTenantFairQueue:
 
         assert run(42) == run(42)
         assert run(7) == run(7)
+
+    def test_steal_takes_what_pop_would_return_last(self):
+        queue, clock = self._queue()
+        for i in range(3):
+            queue.push("flood", f"flood-{i}")
+        queue.push("fresh", "fresh-0")
+        queue.tracker.charge("flood", [10.0], clock.now)
+        # Pop order would be fresh-0, flood-0, flood-1, flood-2.
+        stolen = queue.steal(2, lambda ticket: ticket.item != "flood-2")
+        assert [t.item for t in stolen] == ["flood-0", "flood-1"]
+        assert len(queue) == 2
+        clock.now = 1.0
+        queue.push("flood", "flood-3")
+        queue.requeue(stolen[1])
+        queue.requeue(stolen[0])
+        # Back at their arrival positions, ahead of the later push.
+        order = [queue.pop().item for _ in range(len(queue))]
+        assert order == ["fresh-0", "flood-0", "flood-1", "flood-2",
+                         "flood-3"]
+
+
+#: One fair-queue operation: ``(name, tenant index, amount)``.
+_QUEUE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["push", "tick", "charge", "pop", "steal",
+                         "requeue"]),
+        st.integers(0, 2),
+        st.floats(0.0, 20.0, allow_nan=False),
+    ),
+    max_size=60,
+)
+
+
+class TestFairQueueStealContract:
+    """The contract the fleet's steal grants rely on, over random
+    push/tick/charge/pop/steal/requeue sequences."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_QUEUE_OPS, mask=st.integers(0, 255))
+    def test_steal_matches_pop_order_and_requeue_keeps_lanes(
+        self, ops, mask
+    ):
+        tenants = ["a", "b", "c"]
+        clock = FakeClock()
+        queue = TenantFairQueue(
+            FairShareTracker(half_life_s=60.0), wait_norm_s=5.0,
+            clock=clock,
+        )
+
+        def stealable(ticket):
+            return not (mask >> (ticket.seq % 8)) & 1
+
+        stolen = []
+        for name, index, amount in ops:
+            if name == "push":
+                queue.push(tenants[index], index)
+            elif name == "tick":
+                clock.now += amount
+            elif name == "charge":
+                queue.tracker.charge(tenants[index], [amount], clock.now)
+            elif name == "pop":
+                queue.pop()
+            elif name == "steal":
+                k = index + 1
+                drained = copy.deepcopy(queue)
+                popped = []
+                while len(drained):
+                    popped.append(drained.pop())
+                expected = [t.seq for t in popped if stealable(t)][-k:]
+                taken = queue.steal(k, stealable)
+                assert [t.seq for t in taken] == expected
+                stolen.extend(taken)
+            elif stolen:
+                queue.requeue(stolen.pop(index % len(stolen)))
+                for lane in queue._lanes.values():
+                    seqs = [t.seq for t in lane]
+                    assert seqs == sorted(seqs)
+            assert len(queue) == sum(
+                len(lane) for lane in queue._lanes.values()
+            )
 
 
 # ----------------------------------------------------------------------
