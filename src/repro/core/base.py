@@ -30,10 +30,13 @@ class InterstitialSource(abc.ABC):
     def offer(
         self, t: float, cluster: ClusterState, scheduler: "Scheduler"
     ) -> List[Job]:
-        """Return interstitial jobs to start immediately at ``t``.
+        """Return interstitial records to start immediately at ``t``.
 
-        The returned jobs must jointly fit in ``cluster.free_cpus``; the
-        engine starts them in order.
+        A record is a job or a :class:`~repro.jobs.Cohort` of identical
+        members; an :class:`~repro.jobs.Offer` holds them and its
+        ``len()`` counts members.  The members must jointly fit in
+        ``cluster.free_cpus``; the engine starts the records in order
+        and numbers their members consecutively.
         """
 
     @property
@@ -90,7 +93,8 @@ class InterstitialSource(abc.ABC):
         """
 
     def on_preempted(self, jobs: List[Job], t: float) -> None:
-        """Notification that ``jobs`` were killed at ``t``.
+        """Notification that the records ``jobs`` were killed at ``t``
+        (a killed cohort piece counts ``count`` members).
 
         Sources that track remaining work should re-credit the killed
         jobs (their work was lost and must be redone).  Called both for

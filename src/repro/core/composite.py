@@ -18,11 +18,11 @@ can never overcommit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.core.base import InterstitialSource
 from repro.errors import ConfigurationError
-from repro.jobs import Job
+from repro.jobs import Job, Offer
 from repro.sim.state import ClusterState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,7 +116,10 @@ class CompositeInterstitialSource(InterstitialSource):
     -----
     Preemption is delegated: the composite is preemptible iff *any*
     child is, and preemption notifications are routed to the child that
-    submitted each killed job.
+    submitted each killed job.  Routing reads the ``owner`` tag the
+    composite stamps on each offered record, which survives the
+    engine's renumbering and the splitting of a partly killed cohort
+    (nested composites stamp first, so the innermost owner wins).
     """
 
     def __init__(
@@ -133,8 +136,14 @@ class CompositeInterstitialSource(InterstitialSource):
         self.sources: List[InterstitialSource] = list(sources)
         self.policy = policy
         self._next = 0
-        #: job_id -> originating source (for preemption routing).
-        self._owner: dict = {}
+        #: Composite id of a nested composite -> index of the child
+        #: that holds it (records keep their innermost owner tag).
+        self._nested: Dict[int, int] = {}
+        for index, source in enumerate(self.sources):
+            if isinstance(source, CompositeInterstitialSource):
+                self._nested[id(source)] = index
+                for inner in source._nested:
+                    self._nested[inner] = index
 
     # ------------------------------------------------------------------
     @property
@@ -147,35 +156,39 @@ class CompositeInterstitialSource(InterstitialSource):
 
     def offer(
         self, t: float, cluster: ClusterState, scheduler: "Scheduler"
-    ) -> List[Job]:
+    ) -> Offer:
         order = list(range(len(self.sources)))
         if self.policy == "round_robin":
             order = order[self._next:] + order[: self._next]
             self._next = (self._next + 1) % len(self.sources)
         granted = 0
-        jobs: List[Job] = []
+        records = Offer()
         for idx in order:
             source = self.sources[idx]
             if source.exhausted:
                 continue
             view = _BudgetedView(cluster, granted)
             batch = source.offer(t, view, scheduler)  # type: ignore[arg-type]
-            for job in batch:
-                self._owner[job.job_id] = source
-                granted += job.cpus
-            jobs.extend(batch)
-        return jobs
+            for record in batch:
+                if record.owner is None:
+                    record.owner = (id(self), idx)
+                granted += record.cpus * record.count
+            records.extend(batch)
+        return records
 
     def on_preempted(self, jobs: List[Job], t: float) -> None:
-        by_source: dict = {}
-        for job in jobs:
-            source = self._owner.get(job.job_id)
-            if source is not None:
-                by_source.setdefault(id(source), (source, []))[1].append(
-                    job
-                )
-        for source, killed in by_source.values():
-            source.on_preempted(killed, t)
+        by_child: Dict[int, List[Job]] = {}
+        for record in jobs:
+            if record.owner is None:
+                continue
+            composite, idx = record.owner
+            if composite != id(self):
+                idx = self._nested.get(composite)
+                if idx is None:
+                    continue
+            by_child.setdefault(idx, []).append(record)
+        for idx, killed in by_child.items():
+            self.sources[idx].on_preempted(killed, t)
 
     def on_fault(self, t: float, cpus: int) -> None:
         for source in self.sources:

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Deque, List, Optional
 
 from repro.core.base import InterstitialSource
 from repro.errors import ConfigurationError
-from repro.jobs import InterstitialProject, Job, JobKind
+from repro.jobs import Cohort, InterstitialProject, Job, JobKind, Offer
 from repro.machines import Machine
 from repro.sim.state import ClusterState
 
@@ -170,7 +170,8 @@ class InterstitialController(InterstitialSource):
             raise ConfigurationError(
                 "checkpointing only applies to preemptible controllers"
             )
-        self.submitted: List[Job] = []
+        #: Members handed to the engine so far.
+        self.n_submitted = 0
         self._preemptible = preemptible
         self._checkpointing = checkpointing
         self.n_preempted = 0
@@ -202,25 +203,21 @@ class InterstitialController(InterstitialSource):
         return self._remaining <= 0 and not self._restart_queue
 
     @property
-    def n_submitted(self) -> int:
-        """Jobs handed to the engine so far."""
-        return len(self.submitted)
-
-    @property
     def preemptible(self) -> bool:
         return self._preemptible
 
     def on_preempted(self, jobs: List[Job], t: float) -> None:
-        """Account for killed jobs.
+        """Account for killed records (a cohort counts its members).
 
         Without checkpointing the whole job must rerun (full
         re-credit).  With checkpointing only the unfinished remainder
         is queued for restart; completed work is preserved.
         """
-        self.n_preempted += len(jobs)
+        killed = sum(job.count for job in jobs)
+        self.n_preempted += killed
         if not self._checkpointing:
             if math.isfinite(self._remaining):
-                self._remaining += len(jobs)
+                self._remaining += killed
             return
         for job in jobs:
             killed_at = job.finish_time if job.finish_time is not None else t
@@ -228,10 +225,11 @@ class InterstitialController(InterstitialSource):
                 job.start_time if job.start_time is not None else killed_at
             )
             elapsed = max(0.0, killed_at - started_at)
-            self.work_preserved_cpu_s += job.cpus * elapsed
             remainder = job.runtime - elapsed
-            if remainder >= self.MIN_RESTART_RUNTIME:
-                self._restart_queue.append(remainder)
+            for _ in range(job.count):
+                self.work_preserved_cpu_s += job.cpus * elapsed
+                if remainder >= self.MIN_RESTART_RUNTIME:
+                    self._restart_queue.append(remainder)
 
     def on_fault(self, t: float, cpus: int) -> None:
         """Observe a node failure; arm the submission throttle when the
@@ -254,17 +252,20 @@ class InterstitialController(InterstitialSource):
 
     def offer(
         self, t: float, cluster: ClusterState, scheduler: "Scheduler"
-    ) -> List[Job]:
+    ) -> Offer:
+        """Records to start now: checkpointed fragments (records of
+        one) ahead of one :class:`~repro.jobs.Cohort` of fresh members,
+        built from a single :meth:`InterstitialProject.make_job`."""
         if t < self.start_time or self.exhausted:
-            return []
+            return Offer()
         if t < self._throttled_until:
             self._log(t, cluster, scheduler, 0, "fault_throttled")
-            return []
+            return Offer()
         size = self.project.cpus_per_job
         count = cluster.free_cpus // size
         if count <= 0:
             self._log(t, cluster, scheduler, 0, "no_room")
-            return []
+            return Offer()
         # Figure-1 gate: only feed when the native queue is empty or the
         # head job cannot (by estimates) start within one interstitial
         # runtime, so our jobs finish before it needs the CPUs.
@@ -272,7 +273,7 @@ class InterstitialController(InterstitialSource):
             wall = scheduler.head_start_estimate(t, cluster)
             if wall - t <= self.runtime:
                 self._log(t, cluster, scheduler, 0, "head_imminent")
-                return []
+                return Offer()
         if self.max_utilization is not None:
             budget = (
                 math.floor(self.max_utilization * cluster.total_cpus)
@@ -281,12 +282,14 @@ class InterstitialController(InterstitialSource):
             count = min(count, budget // size)
             if count <= 0:
                 self._log(t, cluster, scheduler, 0, "cap_blocked")
-                return []
+                return Offer()
         # Checkpointed fragments restart ahead of fresh jobs.
-        jobs: List[Job] = []
-        while self._restart_queue and len(jobs) < count:
+        records = Offer()
+        fresh = count
+        while self._restart_queue and fresh > 0:
+            fresh -= 1
             remainder = self._restart_queue.popleft()
-            jobs.append(
+            records.append(
                 Job(
                     cpus=size,
                     runtime=remainder,
@@ -297,17 +300,16 @@ class InterstitialController(InterstitialSource):
                     kind=JobKind.INTERSTITIAL,
                 )
             )
-        fresh = count - len(jobs)
         if math.isfinite(self._remaining):
             fresh = min(fresh, int(self._remaining))
         if fresh > 0:
-            jobs.extend(
-                self.project.make_jobs(self.machine, fresh, submit_time=t)
-            )
+            template = self.project.make_job(self.machine, submit_time=t)
+            records.append(Cohort(template, fresh))
             self._remaining -= fresh
-        self.submitted.extend(jobs)
-        self._log(t, cluster, scheduler, len(jobs), "submitted")
-        return jobs
+        submitted = len(records)
+        self.n_submitted += submitted
+        self._log(t, cluster, scheduler, submitted, "submitted")
+        return records
 
     # ------------------------------------------------------------------
     def _log(

@@ -24,16 +24,21 @@ from repro.jobs import Job
 
 
 def _start_finish_arrays(jobs: Iterable[Job]):
+    """Per-member start and finish times, ascending, from records (a
+    cohort's members share both times, so its run is repeated)."""
     records = [
-        (j.start_time, j.finish_time)
+        (j.start_time, j.finish_time, j.count)
         for j in jobs
         if j.start_time is not None and j.finish_time is not None
     ]
     if not records:
         raise ValidationError("no completed interstitial jobs to sample from")
     records.sort()
-    starts = np.array([r[0] for r in records], dtype=float)
-    finishes = np.array([r[1] for r in records], dtype=float)
+    counts = [r[2] for r in records]
+    starts = np.repeat(np.array([r[0] for r in records], dtype=float), counts)
+    finishes = np.repeat(
+        np.array([r[1] for r in records], dtype=float), counts
+    )
     return starts, finishes
 
 
@@ -69,7 +74,8 @@ def sample_short_projects(
     Parameters
     ----------
     interstitial_jobs:
-        Completed interstitial jobs of the continual run.
+        Completed interstitial jobs of the continual run, as members or
+        as records (``SimResult.records``).
     n_jobs:
         Size of the sampled short project.
     n_samples:

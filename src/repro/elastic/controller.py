@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.core.controller import InterstitialController
 from repro.elastic.spec import ElasticitySpec, WidthPolicy
 from repro.errors import ConfigurationError
-from repro.jobs import InterstitialProject, Job, JobKind
+from repro.jobs import InterstitialProject, Job, JobKind, Offer
 from repro.machines import Machine
 from repro.sim.state import ClusterState
 
@@ -132,12 +132,12 @@ class ElasticInterstitialController(InterstitialController):
     # ------------------------------------------------------------------
     def offer(
         self, t: float, cluster: ClusterState, scheduler: "Scheduler"
-    ) -> List[Job]:
+    ) -> Offer:
         if t < self.start_time or self.exhausted:
-            return []
+            return Offer()
         if t < self._throttled_until:
             self._log(t, cluster, scheduler, 0, "fault_throttled")
-            return []
+            return Offer()
         budget = cluster.free_cpus
         capped = False
         if self.max_utilization is not None:
@@ -153,7 +153,7 @@ class ElasticInterstitialController(InterstitialController):
                 t, cluster, scheduler, 0,
                 "cap_blocked" if capped else "no_room",
             )
-            return []
+            return Offer()
         queue_blocked = scheduler.queue_length > 0
         wall = (
             scheduler.head_start_estimate(t, cluster)
@@ -174,7 +174,7 @@ class ElasticInterstitialController(InterstitialController):
                 for rec in cluster.running.values()
                 if rec.job.is_interstitial and rec.job.malleable
             )
-        jobs: List[Job] = []
+        jobs = Offer()
         remaining = self._remaining
         while budget >= self.min_width and remaining > 0:
             width = min(self.max_width, budget)
@@ -210,9 +210,9 @@ class ElasticInterstitialController(InterstitialController):
                 t, cluster, scheduler, 0,
                 "head_imminent" if queue_blocked else "no_room",
             )
-            return []
+            return Offer()
         self._remaining = remaining
-        self.submitted.extend(jobs)
+        self.n_submitted += len(jobs)
         self._log(t, cluster, scheduler, len(jobs), "submitted")
         return jobs
 

@@ -54,7 +54,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
             native, CPUS, runtime, horizon=trace.duration
         )
         loaded, _ = ctx.continual_result_for(name, CPUS, RUNTIME_1GHZ)
-        achieved = len(loaded.jobs(JobKind.INTERSTITIAL))
+        achieved = loaded.count(JobKind.INTERSTITIAL)
         efficiency = achieved / bound if bound else 0.0
         result.rows.append(
             [

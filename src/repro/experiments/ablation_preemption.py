@@ -75,22 +75,25 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
             check_invariants=ctx.check_invariants,
         )
         stats = column_stats(res)
+        # One addition per killed member, in kill order.
+        wasted_cpu_s = 0.0
+        for record in res.killed_records:
+            area = record.cpus * (record.finish_time - record.start_time)
+            for _member in range(record.count):
+                wasted_cpu_s += area
         wasted_cpu_h = (
-            sum(
-                j.cpus * (j.finish_time - j.start_time)
-                for j in res.killed
-            )
-            / 3600.0
+            wasted_cpu_s / 3600.0
             - controller.work_preserved_cpu_s / 3600.0
         )
-        stats["n_preempted"] = len(res.killed)
+        n_killed = res.killed_count()
+        stats["n_preempted"] = n_killed
         stats["wasted_cpu_h"] = wasted_cpu_h
         stats["preserved_cpu_h"] = controller.work_preserved_cpu_s / 3600.0
         result.rows.append(
             [
                 label,
                 str(stats["interstitial_jobs"]),
-                str(len(res.killed)),
+                str(n_killed),
                 f"{wasted_cpu_h:.0f}",
                 f"{stats['overall_utilization']:.3f}",
                 fmt_k(stats["median_wait_all_s"]),

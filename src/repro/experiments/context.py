@@ -46,6 +46,12 @@ from repro.workload.trace import Trace
 
 T = TypeVar("T")
 
+#: Shape of the simulation products this module stores: results carry
+#: counted cohort records (``SimResult.finished_records``).  Part of
+#: every run payload, so entries a store holds from another shape are
+#: misses, never mis-reads.
+RESULT_FORMAT = "records-1"
+
 
 def _fault_payload(faults: Optional[FaultModel]) -> Optional[Dict[str, Any]]:
     """Content-address fields of a fault model (None when disabled).
@@ -160,6 +166,7 @@ class RunContext:
         machine = self.machine_for(machine_name)
         payload = {
             "kind": "native",
+            "results": RESULT_FORMAT,
             "machine": machine.name,
             "scheduler": machine.queue_algorithm,
             "scale": self.scale_payload(),
@@ -196,6 +203,7 @@ class RunContext:
         machine = self.machine_for(machine_name)
         payload = {
             "kind": "continual",
+            "results": RESULT_FORMAT,
             "machine": machine.name,
             "scheduler": machine.queue_algorithm,
             "scale": self.scale_payload(),
@@ -245,9 +253,10 @@ class RunContext:
     ) -> T:
         """Memoize an arbitrary deterministic computation under a
         content-addressed configuration payload.  The context's scale
-        fields are mixed in automatically."""
+        fields and :data:`RESULT_FORMAT` are mixed in automatically."""
         full = dict(payload)
         full.setdefault("scale", self.scale_payload())
+        full.setdefault("results", RESULT_FORMAT)
         return self.store.get_or_compute(full, compute)
 
     def artifact(

@@ -35,7 +35,7 @@ def column_stats(result: SimResult) -> dict:
     largest = largest_fraction(natives, 0.05)
     largest_waits = wait_times(largest)
     return {
-        "interstitial_jobs": len(result.jobs(JobKind.INTERSTITIAL)),
+        "interstitial_jobs": result.count(JobKind.INTERSTITIAL),
         "native_jobs": len(natives),
         "overall_utilization": result.overall_utilization,
         "native_utilization": result.native_utilization,

@@ -165,10 +165,11 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
                 },
                 compute,
             )
-            inter = res.jobs(JobKind.INTERSTITIAL)
-            if len(inter) != project.n_jobs:
+            inter = res.records(JobKind.INTERSTITIAL)
+            finished = res.count(JobKind.INTERSTITIAL)
+            if finished != project.n_jobs:
                 result.notes.append(
-                    f"{machine_name}/{policy}: only {len(inter)} of "
+                    f"{machine_name}/{policy}: only {finished} of "
                     f"{project.n_jobs} jobs finished"
                 )
             makespan = (
@@ -196,7 +197,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
                 [
                     MACHINE_LABELS[machine_name],
                     policy,
-                    str(len(inter)),
+                    str(finished),
                     fmt_h(makespan),
                     f"{stats['vs_rigid']:.2f}",
                     f"{stats['theory_breakage']:.3f}",

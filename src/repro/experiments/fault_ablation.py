@@ -100,8 +100,8 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
             horizon=trace.duration,
             check_invariants=ctx.check_invariants,
         )
-        killed_native = sum(1 for j in res.killed if j.kind is JobKind.NATIVE)
-        killed_inter = len(res.killed) - killed_native
+        killed_native = res.killed_count(JobKind.NATIVE)
+        killed_inter = res.killed_count(JobKind.INTERSTITIAL)
         retries = sum(res.attempts.values())
         stats = {
             "overall_utilization": res.utilization(t1=trace.duration),

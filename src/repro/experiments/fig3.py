@@ -56,7 +56,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         )
         cont, _ = ctx.continual_result_for(MACHINE, CPUS, runtime)
         samples = sample_short_projects(
-            cont.jobs(JobKind.INTERSTITIAL),
+            cont.records(JobKind.INTERSTITIAL),
             n_jobs=n_jobs,
             n_samples=scale.sampled_projects,
             rng=ctx.rng_for(f"fig3:{kjobs}:{runtime}"),

@@ -53,7 +53,7 @@ def _cell(
 ) -> Tuple[str, List[float]]:
     scale = ctx.scale
     result, _ = ctx.continual_result_for(machine, cpus, runtime)
-    inter = result.jobs(JobKind.INTERSTITIAL)
+    inter = result.records(JobKind.INTERSTITIAL)
     samples = sample_short_projects(
         inter,
         n_jobs=n_jobs,

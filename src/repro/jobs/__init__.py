@@ -9,10 +9,23 @@ reproduction:
 * :class:`~repro.jobs.project.InterstitialProject` — the paper's unit of
   interstitial work: a fixed number of identical small jobs defined by
   CPUs/job and a runtime normalized to a 1 GHz processor, sized in
-  peta-cycles.
+  peta-cycles;
+* :class:`~repro.jobs.cohort.Cohort` — one record for ``count``
+  identical jobs with consecutive ids, built once per interstitial
+  offer (a plain job is a record of one).
 """
 
+from repro.jobs.cohort import Cohort, Offer, expand, member_count
 from repro.jobs.job import Job, JobKind, JobState
 from repro.jobs.project import InterstitialProject
 
-__all__ = ["Job", "JobKind", "JobState", "InterstitialProject"]
+__all__ = [
+    "Cohort",
+    "InterstitialProject",
+    "Job",
+    "JobKind",
+    "JobState",
+    "Offer",
+    "expand",
+    "member_count",
+]

@@ -107,6 +107,11 @@ class Job:
         default=None, compare=False, repr=False
     )
 
+    #: A job is a record of one (see :class:`repro.jobs.cohort.Cohort`).
+    count = 1
+    #: Routing tag stamped by a composite interstitial source.
+    owner = None
+
     def __post_init__(self) -> None:
         if not isinstance(self.cpus, int) or isinstance(self.cpus, bool):
             raise ValidationError(f"cpus must be an int, got {self.cpus!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.jobs.job import Job, JobKind
@@ -167,7 +167,9 @@ class InterstitialProject:
         """Create one interstitial job sized for ``machine``.
 
         Interstitial runtimes have zero variance (paper §4) and the
-        controller knows them exactly, so ``estimate == runtime``.
+        controller knows them exactly, so ``estimate == runtime``.  A
+        controller builds one per offer, as the template of a
+        :class:`~repro.jobs.cohort.Cohort` of identical members.
         """
         self.validate_for(machine)
         runtime = self.runtime_on(machine)
@@ -180,19 +182,6 @@ class InterstitialProject:
             group=self.group,
             kind=JobKind.INTERSTITIAL,
         )
-
-    def make_jobs(
-        self, machine: "Machine", count: int, submit_time: float = 0.0
-    ) -> List[Job]:
-        """Create ``count`` identical interstitial jobs for ``machine``."""
-        return [self.make_job(machine, submit_time) for _ in range(count)]
-
-    def iter_jobs(
-        self, machine: "Machine", submit_time: float = 0.0
-    ) -> Iterator[Job]:
-        """Yield all :attr:`n_jobs` jobs of the project lazily."""
-        for _ in range(self.n_jobs):
-            yield self.make_job(machine, submit_time)
 
     def describe(self) -> str:
         """Human-readable one-line summary used in benchmark tables."""

@@ -17,6 +17,12 @@ running jobs, decide which queued jobs start *now*:
 
 Both planners work purely on estimates — fallibility is inherited from
 the quality of user estimates, exactly as in the paper.
+
+Release claims are *runs* ``(finish, cpus, count)``: ``count`` running
+members each releasing ``cpus`` CPUs at ``finish`` (a counted cohort is
+one run).  Every walk below takes a run whole or, where it stops inside
+one, the fewest members that cover the need; claim widths are
+integer-valued, so its float sums are exactly the per-member ones.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ from typing import Callable, List, Sequence, Tuple
 from repro.jobs import Job
 from repro.sim.profile import CapacityProfile
 
-#: (estimated release time, cpus released) of a running job.
-Release = Tuple[float, float]
+#: (estimated release time, cpus released per member, members) of a
+#: running record.
+Release = Tuple[float, float, int]
 
 #: Scheduler-visible runtime estimate for a job (predictor hook).
 EstimateFn = Callable[[Job], float]
@@ -44,18 +51,24 @@ def shadow_of(
 ) -> Tuple[float, float]:
     """Shadow time and extra nodes for a blocked head job.
 
-    Walks the running jobs' estimated releases in time order until the
-    accumulated free CPUs cover ``cpus_needed``.  Returns
+    Walks the running members' estimated releases in time order until
+    the accumulated free CPUs cover ``cpus_needed``.  Returns
     ``(shadow_time, extra_nodes)`` where ``extra_nodes`` is the surplus
     beyond the head job's need at the shadow instant.  If the head can
     never be satisfied (capacity lost to an outage), returns
     ``(inf, 0.0)`` and callers should disallow shadow-based backfill.
+
+    The walk stops at the first *member* that covers the need, so in
+    the run that does it takes the fewest members that suffice: the
+    surplus is what a per-member walk leaves.
     """
     free = free_now
-    for finish, cpus in sorted(releases):
-        free += cpus
+    for finish, cpus, count in sorted(releases):
+        free += cpus * count
         if free >= cpus_needed:
-            return finish, free - cpus_needed
+            free -= cpus * count
+            take = max(1, -(-(cpus_needed - free) // cpus))
+            return finish, free + cpus * take - cpus_needed
     return math.inf, 0.0
 
 
@@ -79,7 +92,8 @@ def select_easy(
     free_cpus:
         CPUs free right now.
     releases:
-        Estimated (finish, cpus) of currently running jobs.
+        Estimated (finish, cpus, count) runs of currently running
+        members.
     estimate:
         Scheduler-visible runtime estimate accessor.
     backfill:
@@ -97,7 +111,7 @@ def select_easy(
             if job.cpus <= free:
                 starts.append(job)
                 free -= job.cpus
-                live.append((t + estimate(job), job.cpus))
+                live.append((t + estimate(job), job.cpus, 1))
             else:
                 blocked = job
         else:
@@ -114,7 +128,7 @@ def select_easy(
         if fits_shadow or fits_extra:
             starts.append(job)
             free -= job.cpus
-            live.append((t + estimate(job), job.cpus))
+            live.append((t + estimate(job), job.cpus, 1))
             if not fits_shadow:
                 extra -= job.cpus
     return starts
@@ -142,7 +156,7 @@ def select_conservative(
     free count, and the job simply stays queued until the overdue claim
     really releases.
     """
-    free_now = float(available_cpus) - sum(c for _f, c in releases)
+    free_now = float(available_cpus) - sum([c * n for _f, c, n in releases])
     profile = CapacityProfile.from_claims(float(available_cpus), t, releases)
     starts: List[Job] = []
     for job in queue:

@@ -28,7 +28,7 @@ cached priority ordering is still valid (DESIGN §13).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -156,6 +156,44 @@ class FairShareTracker:
         # Newcomer: one extra unit share against the population, without
         # polluting the cache (queries must not mutate state).
         return 1.0 / (self._share_total + 1.0)
+
+    def factors(self, entities: Iterable[str], t: float) -> List[float]:
+        """:meth:`factor` of each entity at ``t``, in order, in one call.
+
+        A scheduler re-key asks for one factor per fair-share class.
+        Memoized values are reused exactly as :meth:`factor` reuses
+        them.  The first miss goes through :meth:`factor` itself, which
+        builds the decayed-usage table at ``t`` and the share table; the
+        other misses are evaluated inline with the same expression and
+        memoized the same way.  Every value is therefore bit-identical
+        to a per-entity call; the batch only saves the call overhead.
+        """
+        version = self.version
+        cache = self._factor_cache
+        out: List[float] = []
+        append = out.append
+        known = None
+        for entity in entities:
+            hit = cache.get(entity)
+            if hit is not None and hit[0] == version:
+                append(hit[1])
+                continue
+            if known is None:
+                append(self.factor(entity, t))
+                total = self._total_cache[1]
+                usage_at = self._usage_at
+                known = self._share_cache
+                share_total = self._share_total
+                continue
+            share = 0.0 if total <= 0.0 else usage_at.get(entity, 0.0) / total
+            # target_share(entity) - share, with the table inline.
+            if entity in known:
+                value = known[entity] / share_total - share
+            else:
+                value = 1.0 / (share_total + 1.0) - share
+            cache[entity] = (version, value)
+            append(value)
+        return out
 
     def factor(self, entity: str, t: float) -> float:
         """Fair-share priority factor in [-1, 1].

@@ -21,9 +21,9 @@ Policies provided:
 from __future__ import annotations
 
 import abc
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import attrgetter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.jobs import Job
@@ -32,15 +32,26 @@ from repro.sched.fairshare import FairShareTracker
 #: Sort key type: higher compares first via sorting on the negated tuple.
 ScoreKey = Tuple[float, float, float]
 
-# Policies charge each run of consecutive same-entity jobs in one
-# ``FairShareTracker.charge`` call (a start cohort is one run).  A
-# charge at the tracker's last update time decays nothing, so this
-# applies exactly the float additions, in the same order, of one
-# charge per job, and entities first appear in the same order.
-_AREA = attrgetter("area")
+# Policies charge each run of consecutive same-entity records in one
+# ``FairShareTracker.charge`` call, one amount per member (a cohort
+# adds its ``count`` equal areas one at a time).  A charge at the
+# tracker's last update time decays nothing, so this applies exactly
+# the float additions, in the same order, of one charge per job, and
+# entities first appear in the same order.
 _USER = attrgetter("user")
 _GROUP = attrgetter("group")
 _GROUP_USER = attrgetter("group", "user")
+
+
+def _areas(records: Iterable[Job]) -> List[float]:
+    """One charge amount per member of ``records``."""
+    amounts: List[float] = []
+    for record in records:
+        if record.count == 1:
+            amounts.append(record.area)
+        else:
+            amounts.extend(repeat(record.area, record.count))
+    return amounts
 
 
 class PriorityPolicy(abc.ABC):
@@ -65,6 +76,13 @@ class PriorityPolicy(abc.ABC):
     @abc.abstractmethod
     def fair_share_factor(self, job: Job, t: float) -> float:
         """Fair-share component of the score, in [-1, 1]."""
+
+    def class_factors(self, jobs: Sequence[Job], t: float) -> List[float]:
+        """:meth:`fair_share_factor` of each of ``jobs`` at ``t``, in
+        one call (a scheduler's re-key asks for one job per fair-share
+        class).  Overrides batch their trackers' lookups and must return
+        exactly what per-job calls would."""
+        return [self.fair_share_factor(job, t) for job in jobs]
 
     def score(self, job: Job, t: float) -> float:
         """Priority score; higher runs earlier."""
@@ -133,9 +151,15 @@ class UserFairSharePolicy(PriorityPolicy):
     def fair_share_factor(self, job: Job, t: float) -> float:
         return self.weight * self.users.factor(job.user, t)
 
+    def class_factors(self, jobs: Sequence[Job], t: float) -> List[float]:
+        weight = self.weight
+        return [
+            weight * f for f in self.users.factors(map(_USER, jobs), t)
+        ]
+
     def on_finish(self, jobs: Sequence[Job], t: float) -> None:
         for user, run in groupby(jobs, _USER):
-            self.users.charge(user, list(map(_AREA, run)), t)
+            self.users.charge(user, _areas(run), t)
         self.priority_version += 1
 
 
@@ -181,11 +205,19 @@ class HierarchicalFairSharePolicy(PriorityPolicy):
         u = self.user_weight * self._group_users(job.group).factor(job.user, t)
         return g + u
 
+    def class_factors(self, jobs: Sequence[Job], t: float) -> List[float]:
+        gw, uw = self.group_weight, self.user_weight
+        groups = self.groups.factors(map(_GROUP, jobs), t)
+        return [
+            gw * g + uw * self._group_users(job.group).factor(job.user, t)
+            for g, job in zip(groups, jobs)
+        ]
+
     def on_finish(self, jobs: Sequence[Job], t: float) -> None:
         for group, run in groupby(jobs, _GROUP):
-            self.groups.charge(group, list(map(_AREA, run)), t)
+            self.groups.charge(group, _areas(run), t)
         for (group, user), run in groupby(jobs, _GROUP_USER):
-            self._group_users(group).charge(user, list(map(_AREA, run)), t)
+            self._group_users(group).charge(user, _areas(run), t)
         self.priority_version += 1
 
 
@@ -212,9 +244,15 @@ class UserGroupFairSharePolicy(PriorityPolicy):
             job.group, t
         ) + self.user_weight * self.users.factor(job.user, t)
 
+    def class_factors(self, jobs: Sequence[Job], t: float) -> List[float]:
+        gw, uw = self.group_weight, self.user_weight
+        groups = self.groups.factors(map(_GROUP, jobs), t)
+        users = self.users.factors(map(_USER, jobs), t)
+        return [gw * g + uw * u for g, u in zip(groups, users)]
+
     def on_finish(self, jobs: Sequence[Job], t: float) -> None:
         for group, run in groupby(jobs, _GROUP):
-            self.groups.charge(group, list(map(_AREA, run)), t)
+            self.groups.charge(group, _areas(run), t)
         for user, run in groupby(jobs, _USER):
-            self.users.charge(user, list(map(_AREA, run)), t)
+            self.users.charge(user, _areas(run), t)
         self.priority_version += 1

@@ -143,9 +143,9 @@ class QueueScheduler(Scheduler):
         #: job width and the day/night phase, not on the exact instant.
         self._eligible_jobs: List[Job] = []
         self._eligible_key: Tuple[Tuple[int, int], bool] = ((-1, -1), False)
-        #: Predictor-corrected release claims, sorted by (finish, cpus),
-        #: cached per ``(cluster.epoch, predictor.version)``.
-        self._claims_cache: List[Tuple[float, float]] = []
+        #: Predictor-corrected release claims, sorted by (finish, cpus,
+        #: count), cached per ``(cluster.epoch, predictor.version)``.
+        self._claims_cache: List[Tuple[float, float, int]] = []
         self._claims_key: Tuple[int, int] = (-1, -1)
         #: ``_earliest_capacity`` release-walk result, cached per
         #: ``(cpus, epoch, predictor version)`` — within one epoch the
@@ -185,7 +185,8 @@ class QueueScheduler(Scheduler):
         self.policy.on_finish(jobs, t)
         if self.predictor is not None:
             for job in jobs:
-                self.predictor.observe(job)
+                for _member in range(job.count):
+                    self.predictor.observe(job)
 
     @property
     def queue_length(self) -> int:
@@ -297,10 +298,12 @@ class QueueScheduler(Scheduler):
     def _ensure_order(self, t: float) -> None:
         """(Re)key the priority order if charges invalidated it.
 
-        Costs one ``fair_share_factor`` per *class* — not per job —
-        because every job of a class shares its factor, and ``wt - f``
-        (with ``wt`` the wait term precomputed at submit) is float-for-
-        float the expression :meth:`~PriorityPolicy.rank_key` evaluates.
+        Costs one fair-share factor per *class* — not per job — because
+        every job of a class shares its factor, and ``wt - f`` (with
+        ``wt`` the wait term precomputed at submit) is float-for-float
+        the expression :meth:`~PriorityPolicy.rank_key` evaluates.  The
+        factors of all classes come from one
+        :meth:`~PriorityPolicy.class_factors` call.
         Each class bucket is already a sorted run of the final order,
         so the concatenation sorts in O(n log(classes)) merge passes.
         Entries embed ``(submit_time, job_id)`` right after the key, so
@@ -313,10 +316,12 @@ class QueueScheduler(Scheduler):
         timers = self.timers
         if timers is not None:
             timers.start("priority_maintenance")
-        factor_of = self.policy.fair_share_factor
+        buckets = list(self._classes.values())
+        factors = self.policy.class_factors(
+            [bucket[0][3] for bucket in buckets], t
+        )
         entries: List[OrderEntry] = []
-        for bucket in self._classes.values():
-            f = factor_of(bucket[0][3], t)
+        for bucket, f in zip(buckets, factors):
             entries += [(wt - f, s, jid, job) for wt, s, jid, job in bucket]
         entries.sort()
         self._order = entries
@@ -345,8 +350,9 @@ class QueueScheduler(Scheduler):
 
     def _release_claims(
         self, cluster: ClusterState
-    ) -> List[Tuple[float, float]]:
-        """(estimated finish, cpus) claims of running jobs, ascending.
+    ) -> List[Tuple[float, float, int]]:
+        """(estimated finish, cpus, count) claims of running records,
+        ascending.
 
         Without a predictor this is the cluster's own sorted timeline.
         With one, corrected claims are rebuilt only when the running set
@@ -363,7 +369,8 @@ class QueueScheduler(Scheduler):
                 timers.start("release_timeline")
             estimate = self.predictor.estimate
             claims = [
-                (rec.start_time + estimate(rec.job), float(rec.cpus))
+                (rec.start_time + estimate(rec.job), float(rec.cpus),
+                 rec.job.count)
                 for rec in cluster.running.values()
             ]
             claims.sort()
@@ -451,8 +458,10 @@ class QueueScheduler(Scheduler):
         if self._capacity_key != key:
             free = float(cluster.free_cpus)
             capacity_at = math.inf
-            for finish, released in self._release_claims(cluster):
-                free += released
+            for finish, released, count in self._release_claims(cluster):
+                # A run covers the need exactly when its last member
+                # would: sums of integer-valued floats are exact.
+                free += released * count
                 if free >= cpus:
                     capacity_at = finish
                     break

@@ -64,7 +64,8 @@ class ReferenceQueueScheduler(Scheduler):
         self.policy.on_finish(jobs, t)
         if self.predictor is not None:
             for job in jobs:
-                self.predictor.observe(job)
+                for _member in range(job.count):
+                    self.predictor.observe(job)
 
     @property
     def queue_length(self) -> int:
@@ -139,10 +140,14 @@ class ReferenceQueueScheduler(Scheduler):
             return self.predictor.estimate(job)
         return job.estimate
 
-    def _releases(self, cluster: ClusterState) -> List[Tuple[float, float]]:
+    def _releases(
+        self, cluster: ClusterState
+    ) -> List[Tuple[float, float, int]]:
+        """One claim per running member (runs expanded)."""
         return [
-            (rec.start_time + self._estimate(rec.job), float(rec.cpus))
+            (rec.start_time + self._estimate(rec.job), float(rec.cpus), 1)
             for rec in cluster.running.values()
+            for _member in range(rec.job.count)
         ]
 
     def _earliest_capacity(
@@ -151,7 +156,7 @@ class ReferenceQueueScheduler(Scheduler):
         if cluster.fits_now(cpus):
             return t
         free = float(cluster.free_cpus)
-        for finish, released in sorted(self._releases(cluster)):
+        for finish, released, _one in sorted(self._releases(cluster)):
             free += released
             if free >= cpus:
                 return max(t, finish)

@@ -13,7 +13,6 @@ interstitial source.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultModel, RetryPolicy
-from repro.jobs import Job, JobState
+from repro.jobs import Job, JobState, member_count
 from repro.machines import Machine
 from repro.obs import NULL_RECORDER, Counters, PhaseTimers, TraceRecord, TraceRecorder
 from repro.sim.events import EventKind, EventQueue
@@ -161,8 +160,8 @@ class Engine:
         #: history (and collide with unpickled traces in worker
         #: processes); renumbering pins ids — and therefore the
         #: id-ordered fault-victim and preemption draws — to the trace
-        #: alone.
-        self._interstitial_ids = itertools.count(
+        #: alone.  A cohort takes one consecutive id per member.
+        self._next_interstitial_id = (
             max((job.job_id for job in self._trace), default=0) + 1
         )
         self._last_submit = 0.0
@@ -202,19 +201,14 @@ class Engine:
         kind: str,
         job: Optional[Job] = None,
         detail: Optional[int] = None,
-        busy: Optional[int] = None,
     ) -> None:
         """Emit one trace record snapshotting queue/occupancy state.
 
         Callers gate on ``self._rec`` so a disabled recorder never even
-        constructs the record.  ``busy`` overrides the cluster's busy
-        count: a cohort is allocated or released in one call, and each
-        member's record shows the occupancy just after that member
-        alone, as if the members had been handled one at a time.
+        constructs the record.
         """
         cluster = self.cluster
-        if busy is None:
-            busy = cluster.busy_cpus
+        busy = cluster.busy_cpus
         self.recorder.record(
             TraceRecord(
                 time=time,
@@ -227,6 +221,47 @@ class Engine:
                 detail=detail,
             )
         )
+
+    def _record_members(
+        self,
+        time: float,
+        kind: str,
+        records: Iterable[Job],
+        busy: int,
+        sign: int,
+        youngest_first: bool = False,
+    ) -> None:
+        """Emit one ``kind`` record per member of ``records``, written
+        from the records without building member jobs.
+
+        Records are allocated or released in one call, and each
+        member's record shows the occupancy just after that member
+        alone (``busy`` is the count before the call, ``sign`` +1 for
+        starts and -1 for releases), as if the members had been handled
+        one at a time.  Members go in id order, or highest id first
+        with ``youngest_first`` (preemption's kill order).
+        """
+        cluster = self.cluster
+        depth = self.scheduler.queue_length
+        available = cluster.available_cpus
+        record = self.recorder.record
+        for job in records:
+            cpus = job.cpus
+            step = sign * cpus
+            ids = range(job.job_id, job.job_id + job.count)
+            for job_id in reversed(ids) if youngest_first else ids:
+                busy += step
+                record(
+                    TraceRecord(
+                        time=time,
+                        kind=kind,
+                        job_id=job_id,
+                        cpus=cpus,
+                        queue_depth=depth,
+                        busy_cpus=busy,
+                        free_cpus=max(0, available - busy),
+                    )
+                )
 
     def run(self) -> SimResult:
         """Run to completion and return the collected results."""
@@ -303,7 +338,7 @@ class Engine:
                     t + self._stall_interval(), EventKind.WAKE, None
                 )
         if self._rec:
-            self._record(t, "run_end", detail=len(self._finished))
+            self._record(t, "run_end", detail=self.counters.finishes)
         return self._collect(t)
 
     def _stall_interval(self) -> float:
@@ -344,18 +379,19 @@ class Engine:
             if self._rec:
                 self._record(t, "submit", job)
         elif event.kind is EventKind.FINISH:
-            # One entry carries the members of a start cohort that share
-            # this finish time.  The loop counted the entry once;
-            # ``Counters.events`` counts each member.
-            members = event.payload
-            self.counters.events += len(members) - 1
+            # One entry carries the records of one start that share
+            # this finish time, and the member count they had then.
+            # The loop counted the entry once; ``Counters.events``
+            # counts each member.
+            members, records = event.payload
+            self.counters.events += members - 1
             expected = self._expected_finish
-            # Members that were preempted or fault-killed (CPUs already
+            # Records that were preempted or fault-killed (CPUs already
             # free), resized (a newer entry holds their finish), or that
             # belong to a killed, retried incarnation are stale here.
             jobs = [
                 job
-                for job in members
+                for job in records
                 if job.state is JobState.RUNNING
                 and expected.get(job.job_id) == t
             ]
@@ -363,17 +399,17 @@ class Engine:
                 return
             busy = self.cluster.busy_cpus
             self.cluster.finish(jobs)
+            finished = 0
             for job in jobs:
                 del expected[job.job_id]
                 job.finish_time = t
                 job.state = JobState.FINISHED
+                finished += job.count
             self.scheduler.on_finish(jobs, t)
             self._finished.extend(jobs)
-            self.counters.finishes += len(jobs)
+            self.counters.finishes += finished
             if self._rec:
-                for job in jobs:
-                    busy -= job.cpus
-                    self._record(t, "finish", job, busy=busy)
+                self._record_members(t, "finish", jobs, busy, -1)
         elif event.kind is EventKind.OUTAGE:
             self.cluster.apply_outage(int(event.payload))
             if self.cluster.down_cpus < 0:
@@ -447,22 +483,7 @@ class Engine:
             hits = int(
                 self._victim_rng.hypergeometric(busy_eff, idle_eff, sample)
             )
-        victims: List[Job] = []
-        # Sort the candidate pool once per FAILURE event; deleting each
-        # victim in place preserves the job-id ordering, so the seeded
-        # draw sequence is exactly what per-iteration re-sorting gave.
-        recs = sorted(
-            self.cluster.running.values(), key=lambda r: r.job.job_id
-        )
-        while hits > 0 and recs:
-            widths = np.array([rec.job.cpus for rec in recs], dtype=float)
-            index = int(
-                self._victim_rng.choice(len(recs), p=widths / widths.sum())
-            )
-            victim = recs[index].job
-            del recs[index]
-            hits -= min(hits, victim.cpus)
-            victims.append(victim)
+        victims = self._draw_victims(hits) if hits > 0 else []
         self._kill(victims, t, "kill")
         self.counters.fault_kills += len(victims)
         interstitial_victims: List[Job] = []
@@ -477,10 +498,74 @@ class Engine:
                 self.interstitial.on_preempted(interstitial_victims, t)
             self.interstitial.on_fault(t, cpus)
 
-    def _kill(self, jobs: List[Job], t: float, kind: str) -> None:
-        """Release killed ``jobs`` in one :meth:`ClusterState.finish`
-        call, mark each one killed at ``t`` and emit its ``kind``
-        record.  Their pending FINISH entries go stale."""
+    def _draw_victims(self, hits: int) -> List[Job]:
+        """Draw running members until ``hits`` busy CPUs are covered;
+        returns one record of one per victim, in draw order.
+
+        The seeded draw sees one width per running *member* in job-id
+        order (a cohort's members have consecutive ids), exactly the
+        array per-job tracking gave; deleting each victim in place
+        preserves that order.  A victim inside a cohort is carved out
+        of it with :meth:`_detach`.
+        """
+        running = self.cluster.running  # keyed by (first) job id
+        records = [running[job_id].job for job_id in sorted(running)]
+        widths = [job.cpus for job in records]
+        members: Optional[List[Tuple[int, int]]] = None
+        if sum(widths) != self.cluster.busy_cpus:
+            # Some record counts several members: (record, offset) each.
+            members = [
+                (r, o) for r, job in enumerate(records)
+                for o in range(job.count)
+            ]
+            widths = [records[r].cpus for r, _o in members]
+        picks: list = []
+        rng = self._victim_rng
+        while hits > 0 and widths:
+            p = np.array(widths, dtype=float)
+            index = int(rng.choice(len(widths), p=p / p.sum()))
+            hits -= min(hits, widths.pop(index))
+            picks.append(
+                records.pop(index) if members is None
+                else members.pop(index)
+            )
+        if members is None:
+            return picks
+        carved: Dict[Tuple[int, int], Job] = {}
+        for r in sorted({r for r, _o in picks}):
+            record = records[r]
+            offsets = sorted((o for rr, o in picks if rr == r), reverse=True)
+            # Carve from the top so lower offsets keep their meaning.
+            for o in offsets:
+                if o + 1 < record.count:
+                    self._detach(record, o + 1)
+                carved[r, o] = self._detach(record, o) if o else record
+        return [carved[pick] for pick in picks]
+
+    def _detach(self, record: Job, at: int) -> Job:
+        """Split running cohort ``record`` at member ``at`` and track
+        the upper piece as a running record of its own, finishing in
+        ``record``'s FINISH entry right after it."""
+        piece = record.split(at)  # type: ignore[attr-defined]
+        self.cluster.split(record, piece)
+        self._expected_finish[piece.job_id] = (
+            self._expected_finish[record.job_id]
+        )
+        run = record.run  # type: ignore[attr-defined]
+        run.insert(
+            next(i for i, job in enumerate(run) if job is record) + 1, piece
+        )
+        piece.run = run
+        return piece
+
+    def _kill(
+        self, jobs: List[Job], t: float, kind: str,
+        youngest_first: bool = False,
+    ) -> None:
+        """Release killed records ``jobs`` in one
+        :meth:`ClusterState.finish` call, mark each one killed at ``t``
+        and emit a ``kind`` record per member.  Their pending FINISH
+        entries go stale."""
         if not jobs:
             return
         busy = self.cluster.busy_cpus
@@ -490,9 +575,7 @@ class Engine:
             job.state = JobState.KILLED
             job.finish_time = t
         if self._rec:
-            for job in jobs:
-                busy -= job.cpus
-                self._record(t, kind, job, busy=busy)
+            self._record_members(t, kind, jobs, busy, -1, youngest_first)
 
     def _requeue_native(self, job: Job, t: float) -> None:
         """Record the wasted run fragment of a fault-killed native job
@@ -558,10 +641,13 @@ class Engine:
                 if self._rec:
                     self._record(t, "fault_throttle")
             jobs = source.offer(t, self.cluster, self.scheduler)
+            next_id = self._next_interstitial_id
             for job in jobs:
-                job.job_id = next(self._interstitial_ids)
+                job.job_id = next_id
+                next_id += job.count
                 if job.min_cpus is not None:
                     self.counters.molded_starts += 1
+            self._next_interstitial_id = next_id
             self._start(jobs, t)
             if elastic:
                 for job, width in source.grow_requests(
@@ -612,7 +698,7 @@ class Engine:
                 if rec.job.malleable
             )
         killable = (
-            sum(rec.job.cpus for rec in victims)
+            sum(rec.job.cpus * rec.job.count for rec in victims)
             if source.preemptible
             else 0
         )
@@ -644,12 +730,18 @@ class Engine:
         for rec in victims:
             if freed >= deficit:
                 break
-            if rec.job.state is not JobState.RUNNING:
+            job = rec.job
+            if job.state is not JobState.RUNNING:
                 continue  # defensive; shrinks never change state
-            killed.append(rec.job)
-            freed += rec.job.cpus
-        self._kill(killed, t, "preempt")
-        self.counters.preempt_kills += len(killed)
+            # A cohort's youngest members are the top of its id range;
+            # take the fewest that cover what is still missing.
+            take = min(job.count, -(-(deficit - freed) // job.cpus))
+            if take < job.count:
+                job = self._detach(job, job.count - take)
+            killed.append(job)
+            freed += job.cpus * take
+        self._kill(killed, t, "preempt", youngest_first=True)
+        self.counters.preempt_kills += member_count(killed)
         self._killed.extend(killed)
         source.on_preempted(killed, t)
         return True
@@ -692,7 +784,9 @@ class Engine:
         job.runtime = (t - started) + new_remaining
         job.estimate = job.runtime
         self.cluster.resize(job, old_cpus)
-        event = self.events.push(t + new_remaining, EventKind.FINISH, [job])
+        event = self.events.push(
+            t + new_remaining, EventKind.FINISH, (1, [job])
+        )
         self._expected_finish[job.job_id] = event.time
         if grow:
             self.counters.grows += 1
@@ -703,14 +797,15 @@ class Engine:
                          detail=old_cpus)
 
     def _start(self, jobs: List[Job], t: float) -> None:
-        """Start one *cohort*: the jobs one scheduling step (a native
-        ``schedule`` call or one interstitial ``offer``) hands over.
+        """Start the records one scheduling step (a native ``schedule``
+        call or one interstitial ``offer``) hands over.
 
-        The cluster allocates the cohort in one call, and each run of
-        consecutive members that share a finish time gets one FINISH
-        entry.  Per-member entries would have been pushed back to back
-        with contiguous sequence numbers, so the single entry holds
-        their place in the ``(time, kind, seq)`` order (DESIGN §13).
+        The cluster allocates them in one call, and each run of
+        consecutive records that share a finish time gets one FINISH
+        entry holding the records and their member count.  Per-member
+        entries would have been pushed back to back with contiguous
+        sequence numbers, so the single entry holds their place in the
+        ``(time, kind, seq)`` order (DESIGN §13).
         """
         if not jobs:
             return
@@ -720,26 +815,30 @@ class Engine:
         push = self.events.push
         running = JobState.RUNNING
         run: List[Job] = []
+        members = started = 0
         end = None
         for job in jobs:
             job.start_time = t
             job.state = running
             finish = t + job.runtime
             expected[job.job_id] = finish
-            if finish == end:
-                run.append(job)
-            else:
+            if finish != end:
                 if run:
-                    push(end, EventKind.FINISH, run)
-                run = [job]
+                    push(end, EventKind.FINISH, (members, run))
+                    started += members
+                run = []
+                members = 0
                 end = finish
-        push(end, EventKind.FINISH, run)
-        self.counters.starts += len(jobs)
-        self._pass_starts += len(jobs)
+            run.append(job)
+            if job.count > 1:
+                job.run = run  # type: ignore[attr-defined]
+            members += job.count
+        push(end, EventKind.FINISH, (members, run))
+        started += members
+        self.counters.starts += started
+        self._pass_starts += started
         if self._rec:
-            for job in jobs:
-                busy += job.cpus
-                self._record(t, "start", job, busy=busy)
+            self._record_members(t, "start", jobs, busy, 1)
 
     def _collect(self, t: float) -> SimResult:
         unfinished: List[Job] = [
@@ -759,9 +858,9 @@ class Engine:
         self.counters.release_rebuilds = self.scheduler.n_release_rebuilds
         return SimResult(
             machine=self.machine,
-            finished=self._finished,
-            unfinished=unfinished,
-            killed=self._killed,
+            finished_records=self._finished,
+            unfinished_records=unfinished,
+            killed_records=self._killed,
             end_time=t,
             horizon=self.config.horizon,
             outages=self.outages,

@@ -189,30 +189,33 @@ class CapacityProfile:
         cls,
         capacity: float,
         start: float,
-        claims: Iterable[Tuple[float, float]],
+        claims: Iterable[Tuple[float, float, int]],
     ) -> "CapacityProfile":
-        """Profile of ``capacity`` minus running jobs' active claims.
+        """Profile of ``capacity`` minus running members' active claims.
 
-        ``claims`` is (estimated finish, cpus) per running job; each
-        claim with ``finish > start`` occupies ``[start, finish)``.
-        Equivalent to ``reserve(start, finish, cpus, check=False)`` per
-        claim but built in one linear sweep instead of R quadratic
-        inserts: capacity/claim widths are integer-valued, so float
-        addition is exact and the summation order cannot change any
+        ``claims`` is (estimated finish, cpus, count) per run of running
+        members; each claim with ``finish > start`` occupies ``[start,
+        finish)``.  Equivalent to ``reserve(start, finish, cpus,
+        check=False)`` per member but built in one linear sweep instead
+        of R quadratic inserts: capacity/claim widths are
+        integer-valued, so float addition is exact and neither the
+        summation order nor summing a run at once can change any
         segment value.
         """
-        active = sorted(
-            (float(f), float(c)) for f, c in claims if f > start
-        )
+        # (finish, width of the run), ascending by (finish, cpus).
+        active = [
+            (float(f), float(c) * n) for f, c, n in sorted(claims)
+            if f > start
+        ]
         profile = cls(capacity, start=start)
         if not active:
             return profile
         times = profile._times
         caps = profile._caps
-        current = float(capacity) - sum(c for _f, c in active)
+        current = float(capacity) - sum([w for _f, w in active])
         caps[0] = current
-        for finish, cpus in active:
-            current += cpus
+        for finish, width in active:
+            current += width
             if finish == times[-1]:
                 caps[-1] = current
             else:

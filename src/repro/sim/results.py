@@ -1,9 +1,13 @@
 """Simulation result container.
 
-The engine collects raw per-job outcomes; :class:`SimResult` exposes
-them together with lazily-built busy-CPU step functions so the metrics
-layer (:mod:`repro.metrics`) can compute utilizations, wait statistics
-and makespans without re-running anything.
+The engine collects raw outcomes as *records*: a job is a record of
+one, and a :class:`~repro.jobs.Cohort` carries ``count`` identical
+interstitial members.  :class:`SimResult` keeps the records and gives
+member jobs on demand, together with lazily-built busy-CPU step
+functions, so the metrics layer (:mod:`repro.metrics`) can compute
+utilizations, wait statistics and makespans without re-running
+anything.  Counts and occupancy weigh each record by its members and
+never build them.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.jobs import Job, JobKind
+from repro.jobs import Job, JobKind, expand, member_count
 from repro.machines import Machine
 from repro.obs import Counters
 from repro.sim.outages import OutageSchedule
@@ -36,16 +40,19 @@ class SimResult:
     ----------
     machine:
         The simulated machine.
-    finished:
-        Jobs that ran to completion (``start_time``/``finish_time`` set).
-    unfinished:
-        Jobs still running or queued when the run was truncated by
-        ``until`` (empty for full runs).
-    killed:
-        Jobs (or run fragments) whose work was wasted: interstitial
-        jobs preempted for native work or killed by node failures, and
-        the partial runs of fault-killed natives awaiting retry.  Their
-        partial occupancy counts as busy time.
+    finished_records:
+        Records that ran to completion (``start_time``/``finish_time``
+        set), in finish order; :attr:`finished` lists their members.
+    unfinished_records:
+        Records still running or queued when the run was truncated by
+        ``until`` (empty for full runs); :attr:`unfinished` lists their
+        members.
+    killed_records:
+        Records (or run fragments) whose work was wasted: interstitial
+        members preempted for native work or killed by node failures,
+        and the partial runs of fault-killed natives awaiting retry.
+        Their partial occupancy counts as busy time; :attr:`killed`
+        lists their members.
     end_time:
         Time of the last processed event.
     horizon:
@@ -73,9 +80,9 @@ class SimResult:
     """
 
     machine: Machine
-    finished: List[Job] = field(default_factory=list)
-    unfinished: List[Job] = field(default_factory=list)
-    killed: List[Job] = field(default_factory=list)
+    finished_records: List[Job] = field(default_factory=list)
+    unfinished_records: List[Job] = field(default_factory=list)
+    killed_records: List[Job] = field(default_factory=list)
     end_time: float = 0.0
     horizon: Optional[float] = None
     outages: OutageSchedule = field(default_factory=OutageSchedule)
@@ -86,13 +93,42 @@ class SimResult:
     counters: Counters = field(default_factory=Counters)
 
     # ------------------------------------------------------------------
-    # Job views
+    # Job views (members are built on each call)
     # ------------------------------------------------------------------
-    def jobs(self, kind: Optional[JobKind] = None) -> List[Job]:
-        """Finished jobs, optionally filtered by kind."""
+    @property
+    def finished(self) -> List[Job]:
+        """Members of :attr:`finished_records`."""
+        return expand(self.finished_records)
+
+    @property
+    def unfinished(self) -> List[Job]:
+        """Members of :attr:`unfinished_records`."""
+        return expand(self.unfinished_records)
+
+    @property
+    def killed(self) -> List[Job]:
+        """Members of :attr:`killed_records`."""
+        return expand(self.killed_records)
+
+    def records(self, kind: Optional[JobKind] = None) -> List[Job]:
+        """Finished records, optionally filtered by kind."""
         if kind is None:
-            return list(self.finished)
-        return [j for j in self.finished if j.kind is kind]
+            return list(self.finished_records)
+        return [j for j in self.finished_records if j.kind is kind]
+
+    def jobs(self, kind: Optional[JobKind] = None) -> List[Job]:
+        """Finished jobs (members), optionally filtered by kind."""
+        return expand(self.records(kind))
+
+    def count(self, kind: Optional[JobKind] = None) -> int:
+        """Number of finished jobs (members) of ``kind``."""
+        return member_count(self.records(kind))
+
+    def killed_count(self, kind: Optional[JobKind] = None) -> int:
+        """Number of killed jobs (members) of ``kind``."""
+        return member_count(
+            j for j in self.killed_records if kind is None or j.kind is kind
+        )
 
     @property
     def native_jobs(self) -> List[Job]:
@@ -120,7 +156,9 @@ class SimResult:
         Elastic jobs that resized while running (``width_history`` set)
         contribute their per-segment widths rather than a constant
         ``cpus``, so utilization reflects the CPUs actually held over
-        time.
+        time.  A cohort steps by its members' summed width: deltas are
+        integer-valued, so the summed steps are exactly the per-member
+        ones.
         """
         times: List[float] = []
         deltas: List[float] = []
@@ -136,16 +174,17 @@ class SimResult:
                 times.append(end)
                 deltas.append(-prev)
             else:
+                width = job.cpus * job.count
                 times.append(job.start_time)  # type: ignore[arg-type]
-                deltas.append(job.cpus)
+                deltas.append(width)
                 times.append(end)
-                deltas.append(-job.cpus)
+                deltas.append(-width)
 
-        for job in list(self.finished) + list(self.killed):
+        for job in self.finished_records + self.killed_records:
             if kind is not None and job.kind is not kind:
                 continue
             add(job, job.finish_time)  # type: ignore[arg-type]
-        for job in self.unfinished:
+        for job in self.unfinished_records:
             if job.start_time is None:
                 continue
             if kind is not None and job.kind is not kind:
@@ -193,6 +232,7 @@ class SimResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SimResult({self.machine.name}: {len(self.finished)} finished, "
-            f"{len(self.unfinished)} unfinished, end={self.end_time:.0f}s)"
+            f"SimResult({self.machine.name}: {self.count()} finished, "
+            f"{member_count(self.unfinished_records)} unfinished, "
+            f"end={self.end_time:.0f}s)"
         )

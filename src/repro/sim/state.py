@@ -4,12 +4,16 @@ The scheduler sees only what a real batch system sees: the set of
 running jobs with their *estimated* completion times, the free CPU
 count, and the queue it manages itself.  Actual runtimes live only in
 the engine's event queue.
+
+The unit of tracking is a *record*: a job, or a
+:class:`~repro.jobs.Cohort` of ``count`` identical members (a job is a
+record of one).  A record has one running entry and one release key,
+and release claims are ``(estimated finish, cpus, count)`` runs.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -17,10 +21,15 @@ from repro.errors import CapacityError, SchedulingError, SimulationError
 from repro.jobs import Job, JobState
 from repro.machines import Machine
 
+#: ``(estimated finish, cpus, count)`` of a running record: ``count``
+#: members each releasing ``cpus`` CPUs at ``finish`` (a release claim).
+Claim = Tuple[float, float, int]
+
 
 @dataclass(frozen=True)
 class RunningJob:
-    """A running job together with its scheduler-visible completion time."""
+    """A running record together with its scheduler-visible completion
+    time."""
 
     job: Job
     start_time: float
@@ -33,6 +42,7 @@ class RunningJob:
 
     @property
     def cpus(self) -> int:
+        """Width of one member."""
         return self.job.cpus
 
 
@@ -55,19 +65,15 @@ class ClusterState:
         #: (free CPUs, release claims) can have changed; schedulers key
         #: cached views and pass-skip decisions on it (DESIGN §13).
         self.epoch: int = 0
-        #: Release timeline: ``(estimated finish, cpus, start seq)`` of
-        #: every running job, kept sorted incrementally on start/finish
-        #: instead of being rebuilt and re-sorted every scheduling pass.
-        #: The ``start seq`` tie-break reproduces dict insertion order
-        #: (= chronological start order), which is what a stable sort of
-        #: ``running.values()`` by ``(finish, cpus)`` used to yield.
-        self._release_keys: List[Tuple[float, float, int]] = []
-        self._release_key_of: Dict[int, Tuple[float, float, int]] = {}
-        self._start_seq = itertools.count()
-        #: ``release_claims()`` view, cached per epoch (multiple readers
-        #: per scheduling pass; none of them mutates the list).
-        self._claims_view: List[Tuple[float, float]] = []
-        self._claims_epoch: int = -1
+        #: Release timeline: the claim of every running record, kept
+        #: sorted incrementally on start/finish instead of being rebuilt
+        #: and re-sorted every scheduling pass.  It is also the
+        #: ``release_claims()`` view itself.  Equal claims are
+        #: interchangeable (a removal may take any of them), and the
+        #: claim walkers cannot tell apart two orders of claims with
+        #: equal ``(finish, cpus)``.
+        self._release_keys: List[Claim] = []
+        self._release_key_of: Dict[int, Claim] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -105,32 +111,30 @@ class ClusterState:
 
     # ------------------------------------------------------------------
     def start(self, jobs: Sequence[Job], t: float) -> None:
-        """Allocate CPUs to a *cohort* — ``jobs`` started together at
-        time ``t`` — with one joint capacity check and one epoch bump.
+        """Allocate CPUs to the records ``jobs`` started together at
+        time ``t``, with one joint capacity check and one epoch bump.
 
-        A single job is a cohort of one.  The release timeline gains
-        one key per job, numbered in cohort order, so tie-breaking is
-        the same as starting the jobs one at a time (DESIGN §13).
+        The release timeline gains one key per record, however many
+        members it counts (DESIGN §13).
         """
         running = self.running
         width = 0
         for job in jobs:
             if job.job_id in running:
                 raise SchedulingError(f"job {job.job_id} already running")
-            width += job.cpus
+            width += job.cpus * job.count
         if width > self.free_cpus:
             raise CapacityError(
                 f"jobs {[job.job_id for job in jobs]} need {width} CPUs "
                 f"but only {self.free_cpus} of {self.machine.name}'s "
                 f"{self.machine.cpus} are free"
             )
-        seq = self._start_seq
         key_of = self._release_key_of
         keys = []
         before = len(running)
         for job in jobs:
             running[job.job_id] = RunningJob(job, t)
-            key = (t + job.estimate, float(job.cpus), next(seq))
+            key = (t + job.estimate, float(job.cpus), job.count)
             key_of[job.job_id] = key
             keys.append(key)
         if len(running) - before != len(keys):
@@ -140,8 +144,8 @@ class ClusterState:
         self.epoch += 1
 
     def finish(self, jobs: Sequence[Job]) -> None:
-        """Release the CPUs of ``jobs`` (finished or killed together)
-        with one epoch bump."""
+        """Release the CPUs of the records ``jobs`` (finished or killed
+        together) with one epoch bump."""
         running = self.running
         key_of = self._release_key_of
         width = 0
@@ -151,7 +155,7 @@ class ClusterState:
                 raise SchedulingError(
                     f"job {job.job_id} finished but was not running"
                 )
-            width += job.cpus
+            width += job.cpus * job.count
             keys.append(key_of.pop(job.job_id))
         self.busy_cpus -= width
         if self.busy_cpus < 0:
@@ -159,10 +163,10 @@ class ClusterState:
         self._remove_keys(keys)
         self.epoch += 1
 
-    def _insert_keys(self, keys: List[Tuple[float, float, int]]) -> None:
-        """Insert new release keys, keeping the timeline sorted.  A
-        cohort of identical jobs has keys that differ only in their
-        consecutive sequence numbers, so they land as one slice."""
+    def _insert_keys(self, keys: List[Claim]) -> None:
+        """Insert new release claims, keeping the timeline sorted.
+        Claims started together usually land between the same two
+        neighbours, and then go in as one slice."""
         timeline = self._release_keys
         if len(keys) > 1:
             keys.sort()
@@ -173,9 +177,9 @@ class ClusterState:
         for key in keys:
             bisect.insort(timeline, key)
 
-    def _remove_keys(self, keys: List[Tuple[float, float, int]]) -> None:
-        """Delete release keys; a finishing cohort's keys are adjacent
-        in the timeline, so they leave as one slice."""
+    def _remove_keys(self, keys: List[Claim]) -> None:
+        """Delete release claims; claims finishing together are usually
+        adjacent in the timeline, so they leave as one slice."""
         timeline = self._release_keys
         if len(keys) > 1:
             keys.sort()
@@ -194,9 +198,8 @@ class ClusterState:
         The caller mutates ``job.cpus``/``job.estimate`` first and then
         reports the old width here; this updates the busy counter and
         re-keys the job's entry in the release timeline (its estimated
-        finish moved with the re-scaled remaining runtime).  The start
-        sequence number is preserved so timeline tie-breaking still
-        reflects chronological start order.  Bumps :attr:`epoch`, which
+        finish moved with the re-scaled remaining runtime).  Bumps
+        :attr:`epoch`, which
         is what keeps scheduler pass-skip caches sound across resizes
         (DESIGN §13).
         """
@@ -216,11 +219,27 @@ class ClusterState:
             raise SchedulingError("negative busy CPU count")
         old_key = self._release_key_of.pop(job.job_id)
         del self._release_keys[bisect.bisect_left(self._release_keys, old_key)]
-        key = (record.estimated_finish, float(job.cpus), old_key[2])
+        key = (record.estimated_finish, float(job.cpus), 1)
         bisect.insort(self._release_keys, key)
         self._release_key_of[job.job_id] = key
         self.epoch += 1
         return record
+
+    def split(self, record: Job, piece: Job) -> None:
+        """Track ``piece``, just detached from the running cohort
+        ``record`` (:meth:`~repro.jobs.Cohort.split`), as a running
+        record of its own.  The CPUs stay allocated; the timeline
+        carries the two records' claims and :attr:`epoch` bumps."""
+        key_of = self._release_key_of
+        finish, cpus, _count = old = key_of[record.job_id]
+        self._remove_keys([old])
+        key_of[record.job_id] = (finish, cpus, record.count)
+        key_of[piece.job_id] = (finish, cpus, piece.count)
+        self._insert_keys([key_of[record.job_id], key_of[piece.job_id]])
+        self.running[piece.job_id] = RunningJob(
+            piece, self.running[record.job_id].start_time
+        )
+        self.epoch += 1
 
     def apply_outage(self, delta: int) -> None:
         """Apply a drain-outage transition (``delta`` CPUs down/up)."""
@@ -244,27 +263,23 @@ class ClusterState:
             self.running.values(), key=lambda r: (r.estimated_finish, r.job.job_id)
         )
 
-    def release_claims(self) -> List[Tuple[float, float]]:
-        """``(estimated finish, cpus)`` of every running job, ascending
-        by finish time.
+    def release_claims(self) -> List[Claim]:
+        """``(estimated finish, cpus, count)`` of every running record,
+        ascending by finish time: ``count`` members each release
+        ``cpus`` CPUs at ``finish``.
 
-        Backed by the incrementally maintained timeline and cached per
-        :attr:`epoch`, so repeat reads within one scheduling pass are a
-        single attribute load, not a rebuild-and-sort of ``running``.
-        Callers must treat the returned list as read-only.
+        This is the incrementally maintained timeline itself, so
+        repeat reads within one scheduling pass cost nothing.  Callers
+        must treat the returned list as read-only and must not keep it
+        across allocation changes.
         """
-        if self._claims_epoch != self.epoch:
-            self._claims_view = [
-                (finish, cpus) for finish, cpus, _seq in self._release_keys
-            ]
-            self._claims_epoch = self.epoch
-        return self._claims_view
+        return self._release_keys
 
     def next_release_after(self, t: float) -> float:
         """Earliest estimated release time strictly after ``t``
         (``math.inf`` when none)."""
         keys = self._release_keys
-        idx = bisect.bisect_right(keys, (t, float("inf"), -1))
+        idx = bisect.bisect_right(keys, (t, float("inf")))
         return keys[idx][0] if idx < len(keys) else float("inf")
 
     def earliest_fit_estimate(self, cpus: int, t: float) -> float:
@@ -279,8 +294,10 @@ class ClusterState:
         if self.fits_now(cpus):
             return t
         free = self.free_cpus
-        for finish, released, _seq in self._release_keys:
-            free += released
+        for finish, released, count in self._release_keys:
+            # Sums of integer-valued floats are exact: a run of members
+            # covers the need exactly when its last member would.
+            free += released * count
             if free >= cpus:
                 return max(t, finish)
         return float("inf")
@@ -304,7 +321,9 @@ class ClusterState:
         exceed in-service capacity during a window.
         """
         problems: List[str] = []
-        width_sum = sum(rec.job.cpus for rec in self.running.values())
+        width_sum = sum(
+            rec.job.cpus * rec.job.count for rec in self.running.values()
+        )
         if self.busy_cpus != width_sum:
             problems.append(
                 f"busy_cpus={self.busy_cpus} != sum of running widths "
@@ -331,7 +350,7 @@ class ClusterState:
         ):
             problems.append(
                 f"release timeline out of sync: {len(self._release_keys)} "
-                f"entries for {len(self.running)} running jobs"
+                f"entries for {len(self.running)} running records"
             )
         not_running = [
             rec.job.job_id

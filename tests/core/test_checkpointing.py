@@ -5,7 +5,7 @@ import pytest
 from repro.core.controller import InterstitialController
 from repro.core.runners import run_with_controller
 from repro.errors import ConfigurationError
-from repro.jobs import InterstitialProject
+from repro.jobs import InterstitialProject, expand
 from repro.machines import Machine
 from repro.sched import fcfs_scheduler
 from repro.sim.state import ClusterState
@@ -90,7 +90,7 @@ class TestCheckpointing:
             n_jobs=8, preemptible=True,
         )
         cluster = ClusterState(machine)
-        jobs = plain.offer(0.0, cluster, fcfs_scheduler())
+        jobs = expand(plain.offer(0.0, cluster, fcfs_scheduler()))
         assert plain.exhausted
         plain.on_preempted(jobs[:3], 10.0)
         assert plain._remaining == 3
@@ -100,7 +100,7 @@ class TestCheckpointing:
             n_jobs=8, preemptible=True, checkpointing=True,
         )
         cluster2 = ClusterState(machine)
-        jobs2 = ckpt.offer(0.0, cluster2, fcfs_scheduler())
+        jobs2 = expand(ckpt.offer(0.0, cluster2, fcfs_scheduler()))
         for j in jobs2[:3]:
             j.start_time = 0.0
             j.finish_time = 10.0

@@ -158,3 +158,27 @@ class TestEndToEnd:
         )
         assert result.killed
         assert a.n_preempted == len(result.killed)
+
+    def test_preemption_routed_after_renumbering(self, machine):
+        """The engine renumbers interstitial jobs after the offer, and
+        jobs built earlier in the process move the ids a child sees at
+        offer time away from the final ones; routing must survive both
+        and the partial kill of one child's offer."""
+        trigger = make_job(cpus=1, runtime=1.0, submit=0.0)
+        native = make_job(cpus=64, runtime=10.0, submit=50.0)
+        for _ in range(1000):
+            make_job()
+        a = controller(machine, cpus=2, n_jobs=20, preemptible=True)
+        b = controller(machine, cpus=2, n_jobs=20, preemptible=True)
+        composite = CompositeInterstitialSource([a, b])
+        result = run_with_controller(
+            machine, [trigger, native], composite,
+            scheduler=fcfs_scheduler(),
+        )
+        killed = len(result.killed)
+        assert killed > 0
+        assert a.n_preempted + b.n_preempted == killed
+        assert a.n_preempted > 0 and b.n_preempted > 0
+        # Every killed member is re-credited and redone.
+        assert a.exhausted and b.exhausted
+        assert len(result.jobs()) == 2 + 40

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.controller import InterstitialController
 from repro.errors import ConfigurationError
-from repro.jobs import InterstitialProject, JobKind
+from repro.jobs import InterstitialProject, JobKind, expand
 from repro.sched import fcfs_scheduler
 from repro.sim.state import ClusterState
 
@@ -155,7 +155,7 @@ class TestPreemption:
         project = InterstitialProject(n_jobs=5, cpus_per_job=2,
                                       runtime_1ghz=100.0)
         ctrl = controller_for(small_machine, project, preemptible=True)
-        jobs = ctrl.offer(0.0, cluster, fcfs_scheduler())
+        jobs = expand(ctrl.offer(0.0, cluster, fcfs_scheduler()))
         assert ctrl.exhausted
         ctrl.on_preempted(jobs[:2], 10.0)
         assert ctrl.n_preempted == 2

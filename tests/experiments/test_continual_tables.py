@@ -20,7 +20,7 @@ class TestColumnStats:
         native.finish_time = 100.0
         result = SimResult(
             machine=tiny_machine,
-            finished=[native],
+            finished_records=[native],
             end_time=200.0,
             horizon=200.0,
         )
@@ -39,7 +39,7 @@ class TestColumnStats:
             jobs.append(job)
         result = SimResult(
             machine=tiny_machine,
-            finished=jobs,
+            finished_records=jobs,
             end_time=300.0,
             horizon=300.0,
         )

@@ -19,6 +19,7 @@ from repro.experiments import (
     ablation_preemption,
     ablation_width,
     cascade_analysis,
+    elastic_tables,
     fault_ablation,
     fig2,
     fig3,
@@ -154,6 +155,18 @@ class TestShapeClaims:
         pre = data["preemptible"]
         assert pre["wasted_cpu_h"] >= 0.0
         assert pre["n_preempted"] >= 0
+
+    def test_elastic_tables_jobs_column_counts_members(self, micro_ctx):
+        """The jobs column counts finished jobs, whether a policy's jobs
+        are counted cohorts (rigid) or one record each (elastic)."""
+        result = elastic_tables.run(micro_ctx)
+        names = {
+            label: name
+            for name, label in elastic_tables.MACHINE_LABELS.items()
+        }
+        for machine, policy, jobs, *_rest in result.rows:
+            stats = result.data[names[machine]][policy]
+            assert int(jobs) == stats["interstitial_jobs"] > 0
 
     def test_fault_ablation_failures_scale_with_rate(self, micro_ctx):
         data = fault_ablation.run(micro_ctx).data

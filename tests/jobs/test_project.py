@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.jobs import InterstitialProject, JobKind
+from repro.jobs import Cohort, InterstitialProject, JobKind
 from repro.machines import blue_mountain
 
 
@@ -96,19 +96,36 @@ class TestJobMaterialization:
         # Interstitial runtimes are exactly known: estimate == runtime.
         assert job.estimate == job.runtime
 
-    def test_make_jobs_count(self, small_machine):
+    def test_cohort_members_count(self, small_machine):
         project = InterstitialProject(
             n_jobs=10, cpus_per_job=1, runtime_1ghz=100.0
         )
-        jobs = project.make_jobs(small_machine, 7)
-        assert len(jobs) == 7
-        assert len({j.job_id for j in jobs}) == 7
+        template = project.make_job(small_machine, submit_time=5.0)
+        cohort = Cohort(template, 7)
+        jobs = cohort.members()
+        assert len(cohort) == len(jobs) == 7
+        assert [j.job_id for j in jobs] == list(
+            range(template.job_id, template.job_id + 7)
+        )
+        assert jobs[0] == template
+        assert {(j.cpus, j.runtime, j.submit_time, j.kind) for j in jobs} == {
+            (1, template.runtime, 5.0, JobKind.INTERSTITIAL)
+        }
 
-    def test_iter_jobs_yields_all(self, small_machine):
+    def test_cohort_split_keeps_ids(self, small_machine):
         project = InterstitialProject(
             n_jobs=5, cpus_per_job=2, runtime_1ghz=60.0
         )
-        assert len(list(project.iter_jobs(small_machine))) == 5
+        cohort = Cohort(project.make_job(small_machine), 5)
+        first = cohort.job_id
+        piece = cohort.split(3)
+        assert (cohort.job_id, len(cohort)) == (first, 3)
+        assert (piece.job_id, len(piece)) == (first + 3, 2)
+        assert [j.job_id for j in cohort.members() + piece.members()] == (
+            list(range(first, first + 5))
+        )
+        with pytest.raises(ValidationError):
+            piece.split(2)
 
     def test_describe_mentions_size(self):
         project = InterstitialProject(

@@ -17,17 +17,19 @@ def est(job):
 class TestShadow:
     def test_shadow_accumulates_releases(self):
         # Need 10; free 2; releases (t=50, 4), (t=80, 6).
-        shadow, extra = shadow_of(10, 2.0, [(80.0, 6.0), (50.0, 4.0)])
+        shadow, extra = shadow_of(
+            10, 2.0, [(80.0, 6.0, 1), (50.0, 4.0, 1)]
+        )
         assert shadow == 80.0
         assert extra == 2.0
 
     def test_shadow_immediate_surplus(self):
-        shadow, extra = shadow_of(4, 2.0, [(50.0, 10.0)])
+        shadow, extra = shadow_of(4, 2.0, [(50.0, 10.0, 1)])
         assert shadow == 50.0
         assert extra == 8.0
 
     def test_shadow_unreachable(self):
-        shadow, extra = shadow_of(100, 2.0, [(50.0, 4.0)])
+        shadow, extra = shadow_of(100, 2.0, [(50.0, 4.0, 1)])
         assert math.isinf(shadow)
         assert extra == 0.0
 
@@ -43,7 +45,7 @@ class TestSelectEasy:
         short = make_job(cpus=2, runtime=10.0)
         # 4 free; 6 release at t=100 -> shadow 100.
         starts = select_easy(
-            0.0, [blocked, short], 4, [(100.0, 6.0)], est
+            0.0, [blocked, short], 4, [(100.0, 6.0, 1)], est
         )
         assert starts == [short]
 
@@ -52,7 +54,7 @@ class TestSelectEasy:
         long_job = make_job(cpus=2, runtime=500.0)
         # free 4, release (100, 6): shadow=100, extra=0.
         starts = select_easy(
-            0.0, [blocked, long_job], 4, [(100.0, 6.0)], est
+            0.0, [blocked, long_job], 4, [(100.0, 6.0, 1)], est
         )
         assert starts == []
 
@@ -61,7 +63,7 @@ class TestSelectEasy:
         long_job = make_job(cpus=2, runtime=500.0)
         # free 4, release (100, 6): shadow=100, extra=(4+6)-6=4 >= 2.
         starts = select_easy(
-            0.0, [blocked, long_job], 4, [(100.0, 6.0)], est
+            0.0, [blocked, long_job], 4, [(100.0, 6.0, 1)], est
         )
         assert starts == [long_job]
 
@@ -76,7 +78,7 @@ class TestSelectEasy:
             0.0,
             [blocked, long_a, long_b, long_c],
             6,
-            [(100.0, 6.0)],
+            [(100.0, 6.0, 1)],
             est,
         )
         assert starts == [long_a, long_b]
@@ -85,7 +87,8 @@ class TestSelectEasy:
         blocked = make_job(cpus=8, runtime=50.0)
         short = make_job(cpus=2, runtime=10.0)
         starts = select_easy(
-            0.0, [blocked, short], 4, [(100.0, 6.0)], est, backfill=False
+            0.0, [blocked, short], 4, [(100.0, 6.0, 1)], est,
+            backfill=False,
         )
         assert starts == []
 
@@ -118,7 +121,7 @@ class TestSelectConservative:
             0.0,
             [wide, narrow_long, narrow_short],
             8,
-            [(100.0, 6.0)],
+            [(100.0, 6.0, 1)],
             est,
         )
         assert starts == [narrow_short]
@@ -129,7 +132,7 @@ class TestSelectConservative:
         blocked = make_job(cpus=6, runtime=10.0)
         second = make_job(cpus=8, runtime=10.0)
         long_narrow = make_job(cpus=2, runtime=500.0)
-        releases = [(100.0, 6.0)]
+        releases = [(100.0, 6.0, 1)]
         easy = select_easy(
             0.0, [blocked, second, long_narrow], 4, releases, est
         )
@@ -159,10 +162,11 @@ def test_property_selected_sets_fit(data):
         for _ in range(data.draw(st.integers(0, 10)))
     ]
     releases = [
-        (data.draw(st.floats(1.0, 500.0)), data.draw(st.integers(1, 8)))
+        (data.draw(st.floats(1.0, 500.0)), data.draw(st.integers(1, 8)),
+         data.draw(st.integers(1, 3)))
         for _ in range(data.draw(st.integers(0, 5)))
     ]
-    busy = sum(c for _, c in releases)
+    busy = sum(c * n for _, c, n in releases)
     easy = select_easy(0.0, queue, free, releases, est)
     assert sum(j.cpus for j in easy) <= free
     conservative = select_conservative(
@@ -178,9 +182,9 @@ def test_conservative_does_not_start_into_overdue_claims():
     job = make_job(cpus=8, runtime=50.0)
     # The machine's 8 CPUs are held by a job whose estimated finish
     # (90.0) already passed; nothing is physically free at t=100.
-    starts = select_conservative(100.0, [job], 8, [(90.0, 8.0)], est)
+    starts = select_conservative(100.0, [job], 8, [(90.0, 8.0, 1)], est)
     assert starts == []
     # Once the claim is live again (finish in the future), the queued
     # job is planned behind it, not started.
-    starts = select_conservative(100.0, [job], 8, [(150.0, 8.0)], est)
+    starts = select_conservative(100.0, [job], 8, [(150.0, 8.0, 1)], est)
     assert starts == []

@@ -259,3 +259,45 @@ def test_property_factor_bit_identical_to_from_scratch(
                 _factor_from_scratch(charges, shares, 3600.0, entity_, first)
             )
             assert _bits(tracker.factor(entity_, second)) == _bits(got)
+
+
+@given(
+    history=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]),
+            st.floats(0.0, 1e6),
+            st.floats(0.0, 1e5),
+        ),
+        max_size=12,
+    ),
+    shares=st.sampled_from([{}, {"a": 2.0, "q": 0.5}]),
+    queries=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e5),
+            st.lists(st.sampled_from(["a", "b", "c", "q", "z"]),
+                     max_size=6),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_property_batched_factors_match_per_entity_calls(
+    history, shares, queries
+):
+    """``factors`` returns, bit for bit, what one ``factor`` call per
+    entity returns on a twin tracker, with the same memo semantics:
+    values memoized earlier in the version are reused at later times,
+    misses are evaluated at the query time, and repeats hit."""
+    batched, single = (
+        FairShareTracker(half_life_s=3600.0, shares=shares)
+        for _ in range(2)
+    )
+    t = 0.0
+    for entity, amount, step in history:
+        t += step
+        batched.charge(entity, [amount], t)
+        single.charge(entity, [amount], t)
+        for offset, entities in queries:
+            got = batched.factors(entities, t + offset)
+            want = [single.factor(e, t + offset) for e in entities]
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]

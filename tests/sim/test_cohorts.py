@@ -1,10 +1,12 @@
-"""Interstitial cohorts: one offer's jobs start, finish and are charged
-as one batch while every observable stays per job (DESIGN §13).
+"""Interstitial cohorts: one offer's identical jobs are carried as one
+counted record, started, finished and charged as one batch, while every
+observable stays per job (DESIGN §13).
 
 Each scenario runs one offer's cohort through an edge case on an
 8-CPU machine, with invariant checks and a trace recorder on, and
-asserts per-job start/finish times, that no job finishes twice, the
-FINISH queue entries the engine pushed, and hand-computed counters.
+asserts per-job start/finish times (members built from the result's
+records), that no job finishes twice, the member ids of the FINISH
+queue entries the engine pushed, and hand-computed counters.
 ``Counters.events`` counts job-level events: a FINISH entry of ``n``
 members counts ``n``, stale members included, exactly as ``n``
 per-job entries did.
@@ -24,7 +26,7 @@ from repro.elastic import (
     WidthPolicy,
 )
 from repro.faults import FaultModel, FaultSchedule, NodeFault
-from repro.jobs import InterstitialProject, JobState
+from repro.jobs import InterstitialProject, JobKind, JobState
 from repro.obs import MemoryRecorder
 from repro.sim.engine import Engine, SimConfig
 from repro.sim.events import EventKind
@@ -70,7 +72,14 @@ def _run(machine, trace, controller, faults=None):
 
     def spy(time, kind, payload=None):
         if kind is EventKind.FINISH:
-            entries.append((time, [job.job_id for job in payload]))
+            members, records = payload
+            ids = [
+                job_id
+                for job in records
+                for job_id in range(job.job_id, job.job_id + job.count)
+            ]
+            assert len(ids) == members
+            entries.append((time, ids))
         return push(time, kind, payload)
 
     engine.events.push = spy
@@ -83,6 +92,14 @@ def _assert_single_finishes(result, recorder) -> None:
     finish_records = Counter(r.job_id for r in recorder.by_kind("finish"))
     assert set(finish_records.values()) == {1}
     assert set(finish_records) == set(ids)
+
+
+def _members(result) -> List:
+    """Every interstitial member that ran, by id."""
+    jobs = result.jobs(JobKind.INTERSTITIAL) + [
+        job for job in result.killed if job.is_interstitial
+    ]
+    return sorted(jobs, key=lambda job: job.job_id)
 
 
 def _counts(result) -> Tuple[int, int, int, int, int]:
@@ -102,12 +119,14 @@ def test_node_failure_kills_some_members(tiny_machine):
         tiny_machine, [native], controller,
         faults=FixedFaults([(10.0, 20.0, 3)]),
     )
-    first = controller.submitted[:8]
-    refill = controller.submitted[8:]
+    members = _members(result)
+    first = [job for job in members if job.start_time == 5.0]
+    refill = [job for job in members if job.start_time == 20.0]
     killed = [job for job in first if job.state is JobState.KILLED]
     survivors = [job for job in first if job.state is JobState.FINISHED]
     assert len(killed) == 3 and len(survivors) == 5 and len(refill) == 3
-    assert all(job.start_time == 5.0 for job in first)
+    assert len(members) == 8 + 3
+    assert controller.n_submitted == 8 + 3
     assert all(job.finish_time == 10.0 for job in killed)
     assert all(job.finish_time == 105.0 for job in survivors)
     assert [(j.start_time, j.finish_time) for j in refill] == [
@@ -135,8 +154,9 @@ def test_preemption_kills_the_youngest_members(tiny_machine):
         tiny_machine, _project(8), preemptible=True
     )
     result, recorder, entries = _run(tiny_machine, [a, b], controller)
-    first = controller.submitted[:8]
-    refill = controller.submitted[8:]
+    members = _members(result)
+    first, refill = members[:8], members[8:]
+    assert all(job.start_time == 5.0 for job in first)
     assert [job.state for job in first] == (
         [JobState.FINISHED] * 5 + [JobState.KILLED] * 3
     )
@@ -178,7 +198,7 @@ def test_shrunk_member_finishes_on_its_own_entry(tiny_machine):
         tiny_machine, project, ElasticitySpec(WidthPolicy.MALLEABLE)
     )
     result, recorder, entries = _run(tiny_machine, [a, b, c], controller)
-    j1, j2 = controller.submitted
+    j1, j2 = _members(result)
     assert (j1.start_time, j1.finish_time, j1.cpus) == (5.0, 105.0, 4)
     assert (j2.start_time, j2.finish_time, j2.cpus) == (5.0, 185.0, 2)
     assert j2.width_history == [(5.0, 4), (25.0, 2)]
@@ -211,8 +231,9 @@ def test_restart_fragments_ride_in_the_same_offer(tiny_machine):
         tiny_machine, _project(10), preemptible=True, checkpointing=True
     )
     result, recorder, entries = _run(tiny_machine, [a, b, c], controller)
-    first = controller.submitted[:8]
-    second = controller.submitted[8:]
+    members = _members(result)
+    first, second = members[:8], members[8:]
+    assert len(second) == 4
     assert [job.finish_time for job in first] == [105.0] * 6 + [40.0, 20.0]
     assert [job.runtime for job in second] == [85.0, 65.0, 100.0, 100.0]
     assert all(job.start_time == 105.0 for job in second)

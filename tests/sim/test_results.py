@@ -22,7 +22,9 @@ class TestViews:
     def test_jobs_by_kind(self, tiny_machine):
         native = make_job(cpus=1, runtime=10.0)
         inter = make_job(cpus=1, runtime=10.0, kind=JobKind.INTERSTITIAL)
-        result = SimResult(machine=tiny_machine, finished=[native, inter])
+        result = SimResult(
+            machine=tiny_machine, finished_records=[native, inter]
+        )
         assert result.native_jobs == [native]
         assert result.interstitial_jobs == [inter]
         assert len(result.jobs()) == 2

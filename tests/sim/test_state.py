@@ -166,5 +166,5 @@ class TestCohorts:
         cluster.start([other], 0.0)
         cluster.finish([cohort[1], cohort[4]])
         cluster.finish([cohort[0], cohort[2], cohort[3], cohort[5]])
-        assert cluster.release_claims() == [(100.0, 2.0)]
+        assert cluster.release_claims() == [(100.0, 2.0, 1)]
         assert cluster.busy_cpus == 2
