@@ -82,17 +82,10 @@ class _BudgetedView:
     def epoch(self) -> int:
         return self._cluster.epoch
 
-    def estimated_releases(self):
-        return self._cluster.estimated_releases()
-
     def release_claims(self):
         # Sibling grants occupy CPUs but have no known finish time, so
-        # the claim timeline is the real cluster's unchanged (exactly as
-        # ``estimated_releases`` above).
+        # the claim timeline is the real cluster's unchanged.
         return self._cluster.release_claims()
-
-    def next_release_after(self, t: float):
-        return self._cluster.next_release_after(t)
 
     def earliest_fit_estimate(self, cpus: int, t: float) -> float:
         if self.fits_now(cpus):

@@ -70,14 +70,19 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         ],
     )
     for mode in ("perfect", "default", "inflated"):
-        jobs = _with_estimates(trace.jobs, mode)
-        res, controller = run_continual(
-            machine,
-            jobs,
-            project,
-            horizon=trace.duration,
-            check_invariants=ctx.check_invariants,
-        )
+        if mode == "default":
+            # The trace's own estimates: the context's continual run.
+            res, _ = ctx.continual_result_for(MACHINE, CPUS, RUNTIME_1GHZ)
+        else:
+            res, _ = run_continual(
+                machine,
+                _with_estimates(trace.jobs, mode),
+                project,
+                horizon=trace.duration,
+                check_invariants=ctx.check_invariants,
+                recorder=ctx.recorder,
+                timers=ctx.timers,
+            )
         stats = column_stats(res)
         result.rows.append(
             [

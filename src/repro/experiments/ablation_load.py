@@ -81,6 +81,8 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
             trace.jobs,
             horizon=trace.duration,
             check_invariants=ctx.check_invariants,
+            recorder=ctx.recorder,
+            timers=ctx.timers,
         )
         stats = column_stats(res)
         mmc = mmc_mean_wait(slots, load, 2.5 * 3600.0)
@@ -111,6 +113,8 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         project,
         horizon=base_trace.duration,
         check_invariants=ctx.check_invariants,
+        recorder=ctx.recorder,
+        timers=ctx.timers,
     )
     stats = column_stats(boosted)
     result.rows.append(

@@ -55,17 +55,23 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         ("raw user estimates", None),
         ("EWMA predictor", PerUserRuntimePredictor()),
     ):
-        controller = InterstitialController(
-            machine=machine, project=project, continual=True
-        )
-        res = run_with_controller(
-            machine,
-            trace.jobs,
-            controller,
-            scheduler=lsf_scheduler(predictor=predictor),
-            horizon=trace.duration,
-            check_invariants=ctx.check_invariants,
-        )
+        if predictor is None:
+            # Blue Mountain's own scheduler: the context's continual run.
+            res, _ = ctx.continual_result_for(MACHINE, CPUS, RUNTIME_1GHZ)
+        else:
+            controller = InterstitialController(
+                machine=machine, project=project, continual=True
+            )
+            res = run_with_controller(
+                machine,
+                trace.jobs,
+                controller,
+                scheduler=lsf_scheduler(predictor=predictor),
+                horizon=trace.duration,
+                check_invariants=ctx.check_invariants,
+                recorder=ctx.recorder,
+                timers=ctx.timers,
+            )
         stats = column_stats(res)
         result.rows.append(
             [

@@ -60,20 +60,28 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         ("preemptible", True, False),
         ("preemptible+checkpoint", True, True),
     ):
-        controller = InterstitialController(
-            machine=machine,
-            project=project,
-            continual=True,
-            preemptible=preemptible,
-            checkpointing=checkpointing,
-        )
-        res = run_with_controller(
-            machine,
-            trace.jobs,
-            controller,
-            horizon=trace.duration,
-            check_invariants=ctx.check_invariants,
-        )
+        if not preemptible:
+            # The paper's non-preemptive jobs: the context's continual run.
+            res, controller = ctx.continual_result_for(
+                MACHINE, CPUS, RUNTIME_1GHZ
+            )
+        else:
+            controller = InterstitialController(
+                machine=machine,
+                project=project,
+                continual=True,
+                preemptible=preemptible,
+                checkpointing=checkpointing,
+            )
+            res = run_with_controller(
+                machine,
+                trace.jobs,
+                controller,
+                horizon=trace.duration,
+                check_invariants=ctx.check_invariants,
+                recorder=ctx.recorder,
+                timers=ctx.timers,
+            )
         stats = column_stats(res)
         # One addition per killed member, in kill order.
         wasted_cpu_s = 0.0

@@ -32,7 +32,8 @@ RUNTIME_1GHZ = 120.0
 #: boxes; one failure domain takes a slab of CPUs with it).
 CPUS_PER_NODE = 16
 
-#: (label, per-node MTBF seconds, distribution); None disables faults.
+#: (label, per-node MTBF seconds, distribution); None disables faults
+#: (the fault-free baseline is the context's cached continual run).
 MTBF_SETTINGS: Tuple[Tuple[str, Optional[float], str], ...] = (
     ("no faults", None, "exponential"),
     ("MTBF 90 d/node", 90.0 * DAY, "exponential"),
@@ -74,32 +75,38 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         ],
     )
     for label, mtbf, distribution in MTBF_SETTINGS:
-        faults = None
-        if mtbf is not None:
-            faults = FaultModel(
-                mtbf=mtbf,
-                mttr=4.0 * HOUR,
-                cpus_per_node=CPUS_PER_NODE,
-                distribution=distribution,
-                seed=scale.seed,
+        if mtbf is None:
+            # Without faults the throttle never trips and the retry
+            # policy never applies: this is the context's continual run.
+            res, controller = ctx.continual_result_for(
+                MACHINE, CPUS, RUNTIME_1GHZ
             )
-        controller = InterstitialController(
-            machine=machine,
-            project=project,
-            continual=True,
-            throttle_after_failures=8,
-            throttle_window=1.0 * HOUR,
-            throttle_quiet_period=2.0 * HOUR,
-        )
-        res = run_with_controller(
-            machine,
-            trace.jobs,
-            controller,
-            faults=faults,
-            retry=retry,
-            horizon=trace.duration,
-            check_invariants=ctx.check_invariants,
-        )
+        else:
+            controller = InterstitialController(
+                machine=machine,
+                project=project,
+                continual=True,
+                throttle_after_failures=8,
+                throttle_window=1.0 * HOUR,
+                throttle_quiet_period=2.0 * HOUR,
+            )
+            res = run_with_controller(
+                machine,
+                trace.jobs,
+                controller,
+                faults=FaultModel(
+                    mtbf=mtbf,
+                    mttr=4.0 * HOUR,
+                    cpus_per_node=CPUS_PER_NODE,
+                    distribution=distribution,
+                    seed=scale.seed,
+                ),
+                retry=retry,
+                horizon=trace.duration,
+                check_invariants=ctx.check_invariants,
+                recorder=ctx.recorder,
+                timers=ctx.timers,
+            )
         killed_native = res.killed_count(JobKind.NATIVE)
         killed_inter = res.killed_count(JobKind.INTERSTITIAL)
         retries = sum(res.attempts.values())

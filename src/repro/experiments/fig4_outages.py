@@ -68,6 +68,8 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         outages=outages,
         horizon=trace.duration,
         check_invariants=ctx.check_invariants,
+        recorder=ctx.recorder,
+        timers=ctx.timers,
     )
     times, utils = hourly_utilization(result_run, t1=trace.duration)
 

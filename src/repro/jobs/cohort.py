@@ -119,10 +119,15 @@ class Cohort:
 
 class Offer(list):
     """The records one interstitial offer hands the engine, in start
-    order.  Iteration yields records; ``len()`` counts their members."""
+    order.  Iteration yields records; ``len()`` counts their members,
+    and truth tests only whether any record is there (every record
+    counts at least one member)."""
 
     def __len__(self) -> int:
         return sum(record.count for record in self)
+
+    def __bool__(self) -> bool:
+        return list.__len__(self) > 0
 
 
 def expand(records: Iterable) -> List[Job]:

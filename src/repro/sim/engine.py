@@ -682,14 +682,13 @@ class Engine:
         deficit = head.cpus - self.cluster.free_cpus
         if deficit <= 0:
             return False
-        victims = sorted(
-            (
-                rec
-                for rec in self.cluster.running.values()
-                if rec.job.is_interstitial
-            ),
-            key=lambda rec: (-rec.start_time, -rec.job.job_id),
-        )
+        # The feasibility sums are order-free integer sums, so they run
+        # over the unsorted records; most calls give up right after.
+        victims = [
+            rec
+            for rec in self.cluster.running.values()
+            if rec.job.is_interstitial
+        ]
         shrinkable = 0
         if source.elastic:
             shrinkable = sum(
@@ -709,6 +708,7 @@ class Engine:
             # interstitial throughput without helping, so wait for
             # native releases instead.
             return False
+        victims.sort(key=lambda rec: (-rec.start_time, -rec.job.job_id))
         freed = 0
         if shrinkable > 0:
             for rec in victims:

@@ -252,17 +252,6 @@ class ClusterState:
         self.epoch += 1
 
     # ------------------------------------------------------------------
-    def estimated_releases(self) -> List[RunningJob]:
-        """Running jobs sorted by estimated completion time.
-
-        This is the only view of the future a fallible scheduler has;
-        backfill shadow times and the interstitial ``backfillWallTime``
-        are computed from it.
-        """
-        return sorted(
-            self.running.values(), key=lambda r: (r.estimated_finish, r.job.job_id)
-        )
-
     def release_claims(self) -> List[Claim]:
         """``(estimated finish, cpus, count)`` of every running record,
         ascending by finish time: ``count`` members each release
@@ -274,13 +263,6 @@ class ClusterState:
         across allocation changes.
         """
         return self._release_keys
-
-    def next_release_after(self, t: float) -> float:
-        """Earliest estimated release time strictly after ``t``
-        (``math.inf`` when none)."""
-        keys = self._release_keys
-        idx = bisect.bisect_right(keys, (t, float("inf")))
-        return keys[idx][0] if idx < len(keys) else float("inf")
 
     def earliest_fit_estimate(self, cpus: int, t: float) -> float:
         """Earliest time (>= t) at which ``cpus`` CPUs are expected to be

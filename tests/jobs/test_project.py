@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.jobs import Cohort, InterstitialProject, JobKind
+from repro.jobs import Cohort, InterstitialProject, JobKind, Offer
 from repro.machines import blue_mountain
 
 
@@ -126,6 +126,15 @@ class TestJobMaterialization:
         )
         with pytest.raises(ValidationError):
             piece.split(2)
+
+    def test_offer_counts_members_and_tests_records(self, small_machine):
+        project = InterstitialProject(
+            n_jobs=5, cpus_per_job=2, runtime_1ghz=60.0
+        )
+        template = project.make_job(small_machine)
+        offer = Offer([Cohort(template, 4), template])
+        assert len(offer) == 5
+        assert offer and not Offer()
 
     def test_describe_mentions_size(self):
         project = InterstitialProject(

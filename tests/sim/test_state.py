@@ -79,13 +79,13 @@ class TestOutageInteraction:
 
 
 class TestEstimates:
-    def test_estimated_releases_sorted(self, cluster):
+    def test_release_claims_sorted_by_estimate(self, cluster):
         slow = make_job(cpus=1, runtime=10.0, estimate=500.0)
-        fast = make_job(cpus=1, runtime=10.0, estimate=100.0)
+        fast = make_job(cpus=2, runtime=10.0, estimate=100.0)
         cluster.start([slow], 0.0)
         cluster.start([fast], 0.0)
-        releases = cluster.estimated_releases()
-        assert [r.job.job_id for r in releases] == [fast.job_id, slow.job_id]
+        # fast's claim (2 CPUs at its estimate) comes first.
+        assert cluster.release_claims() == [(100.0, 2.0, 1), (500.0, 1.0, 1)]
 
     def test_earliest_fit_estimate_now(self, cluster):
         assert cluster.earliest_fit_estimate(64, 5.0) == 5.0

@@ -5,6 +5,17 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.experiments.config import SCALES, ExperimentScale
+
+#: A scale small enough to run multi-simulation drivers in a CLI test.
+MICRO = ExperimentScale(
+    name="micro-test",
+    trace_scale=0.02,
+    project_scale=0.01,
+    omniscient_samples=3,
+    sampled_projects=20,
+    seed=99,
+)
 
 
 class TestParser:
@@ -119,6 +130,28 @@ class TestMain:
         assert {"t", "ev"} <= set(first)
         err = capsys.readouterr().err
         assert f"{len(lines)} trace records" in err
+
+    def test_trace_holds_every_driver_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The fault ablation's four faulted runs and the continual run
+        its fault-free row takes from the context all reach the trace."""
+        monkeypatch.setitem(SCALES, MICRO.name, MICRO)
+        trace = tmp_path / "fault-ablation.jsonl"
+        assert main(
+            ["fault-ablation", "--scale", MICRO.name, "--trace", str(trace)]
+        ) == 0
+        with trace.open() as lines:
+            events = [json.loads(line)["ev"] for line in lines]
+        assert events.count("run_start") == 5
+
+    def test_profile_times_driver_runs(self, capsys, monkeypatch):
+        """fig4-outages simulates only outside the context's store."""
+        monkeypatch.setitem(SCALES, MICRO.name, MICRO)
+        assert main(["profile", "fig4-outages", "--scale", MICRO.name]) == 0
+        out = capsys.readouterr().out
+        assert "(no phases recorded)" not in out
+        assert "event_dispatch" in out
 
     def test_profile_prints_phases_and_counters(self, capsys):
         assert main(["profile", "table1", "--scale", "quick"]) == 0
