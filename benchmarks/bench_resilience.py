@@ -32,7 +32,7 @@ from repro.experiments.config import SCALES
 from repro.faults import FaultModel, RetryPolicy
 from repro.service import (
     BulkJournal,
-    InProcessClient,
+    LocalFleet,
     ServiceConfig,
     SimulationService,
     percentile,
@@ -128,7 +128,7 @@ def _bench_recovery() -> dict:
         }
 
 
-def _measure_mixed_load(client) -> dict:
+def _measure_mixed_load(fleet: LocalFleet) -> dict:
     """Sequential timed interactive requests over a concurrent bulk
     flood (the service-bench shape)."""
     payloads = [
@@ -138,21 +138,21 @@ def _measure_mixed_load(client) -> dict:
     bulk_replies: list = []
     bulk_thread = threading.Thread(
         target=lambda: bulk_replies.extend(
-            client.run_many(payloads, max_workers=N_BULK)
+            fleet.run_many(payloads)
         )
     )
     bulk_thread.start()
     latencies = []
     for i in range(N_INTERACTIVE):
         t0 = time.perf_counter()
-        reply = client.run("table1", seed=1000 + i)
+        reply = fleet.run("table1", seed=1000 + i)
         latencies.append(time.perf_counter() - t0)
         assert reply.ok, reply.payload
     bulk_thread.join()
     assert all(r.ok for r in bulk_replies), (
         f"bulk failures: {sorted(r.status for r in bulk_replies)}"
     )
-    counters = client.metrics().payload["counters"]
+    counters = fleet.metrics()["counters"]
     return {
         "interactive_p50_s": round(percentile(latencies, 50), 4),
         "interactive_p99_s": round(percentile(latencies, 99), 4),
@@ -167,20 +167,22 @@ def _bench_chaos_latency() -> dict:
     config = ServiceConfig(
         workers=WORKERS, scale=SCALES["quick"], retry=FAST_RETRY
     )
-    with InProcessClient(
-        config,
+    with LocalFleet(
+        1,
+        service_config=config,
         pool_factory=lambda n: ThreadPoolExecutor(max_workers=n),
         worker_fn=synthetic_job,
-    ) as client:
-        baseline = _measure_mixed_load(client)
+    ) as fleet:
+        baseline = _measure_mixed_load(fleet)
 
     faulty = FaultyWorker(KILL_RATE, CHAOS_SEED)
-    with InProcessClient(
-        config,
+    with LocalFleet(
+        1,
+        service_config=config,
         pool_factory=lambda n: ThreadPoolExecutor(max_workers=n),
         worker_fn=faulty,
-    ) as client:
-        chaos = _measure_mixed_load(client)
+    ) as fleet:
+        chaos = _measure_mixed_load(fleet)
     chaos["worker_kills"] = faulty.kills
 
     assert chaos["dead_letters"] == 0

@@ -1,7 +1,7 @@
 """Service bench — interactive latency under bulk load.
 
-Boots the in-process daemon and measures interactive p50/p99 latency
-and total throughput in three phases:
+Boots the in-process daemon (a one-member ``LocalFleet``) and measures
+interactive p50/p99 latency and total throughput in three phases:
 
 1. interactive-only baseline (no bulk traffic),
 2. mixed load with the default bulk cap (bulk admitted only while a
@@ -49,8 +49,9 @@ from pathlib import Path
 
 from repro.experiments.config import SCALES
 from repro.service import (
+    FleetMember,
     HttpFrontend,
-    InProcessClient,
+    LocalFleet,
     ServiceClient,
     ServiceConfig,
     SimulationService,
@@ -75,7 +76,7 @@ def synthetic_job(name, scale, store_path, check_invariants):
     return f"synthetic {name} seed={scale.seed}"
 
 
-def _measure_phase(client, *, bulk: bool) -> dict:
+def _measure_phase(fleet: LocalFleet, *, bulk: bool) -> dict:
     """Drive one phase and return its latency/throughput summary.
 
     Interactive requests run sequentially from this thread and are
@@ -94,7 +95,7 @@ def _measure_phase(client, *, bulk: bool) -> dict:
         ]
         bulk_thread = threading.Thread(
             target=lambda: bulk_replies.extend(
-                client.run_many(payloads, max_workers=N_BULK)
+                fleet.run_many(payloads)
             )
         )
 
@@ -104,7 +105,7 @@ def _measure_phase(client, *, bulk: bool) -> dict:
     latencies = []
     for i in range(N_INTERACTIVE):
         t0 = time.perf_counter()
-        reply = client.run("table1", seed=1000 + i)
+        reply = fleet.run("table1", seed=1000 + i)
         latencies.append(time.perf_counter() - t0)
         assert reply.ok, reply.payload
     if bulk_thread is not None:
@@ -132,12 +133,13 @@ def _run_phase(bulk_cap: float, *, bulk: bool) -> dict:
     config = ServiceConfig(
         workers=WORKERS, bulk_cap=bulk_cap, scale=SCALES["quick"]
     )
-    with InProcessClient(
-        config,
+    with LocalFleet(
+        1,
+        service_config=config,
         pool_factory=lambda n: ThreadPoolExecutor(max_workers=n),
         worker_fn=synthetic_job,
-    ) as client:
-        return _measure_phase(client, bulk=bulk)
+    ) as fleet:
+        return _measure_phase(fleet, bulk=bulk)
 
 
 #: Cache-hit HTTP requests timed per connection mode.
@@ -166,7 +168,9 @@ def _measure_http_keep_alive() -> dict:
         worker_fn=_instant_job,
     )
     call(service.start())
-    frontend = HttpFrontend(service, port=0)
+    member = FleetMember(service)
+    call(member.start())
+    frontend = HttpFrontend(member, port=0)
     call(frontend.start())
     try:
         # Warm the cache once so every timed request is a pure
@@ -200,6 +204,7 @@ def _measure_http_keep_alive() -> dict:
         return modes
     finally:
         call(frontend.stop())
+        call(member.finish_close())
         call(service.stop())
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10.0)
@@ -233,11 +238,12 @@ def _measure_two_tenant() -> dict:
     config = ServiceConfig(
         workers=1, bulk_cap=1.0, scale=SCALES["quick"]
     )
-    with InProcessClient(
-        config,
+    with LocalFleet(
+        1,
+        service_config=config,
         pool_factory=lambda n: ThreadPoolExecutor(max_workers=n),
         worker_fn=_tenant_job,
-    ) as client:
+    ) as fleet:
         flood_replies: list = []
         flood_payloads = [
             {"experiment": "table1", "seed": 600 + i,
@@ -247,7 +253,7 @@ def _measure_two_tenant() -> dict:
         start = time.perf_counter()
         flood_thread = threading.Thread(
             target=lambda: flood_replies.extend(
-                client.run_many(flood_payloads, max_workers=N_FLOOD)
+                fleet.run_many(flood_payloads)
             )
         )
         flood_thread.start()
@@ -256,7 +262,7 @@ def _measure_two_tenant() -> dict:
         light_latencies = []
         for i in range(N_LIGHT):
             t0 = time.perf_counter()
-            reply = client.run(
+            reply = fleet.run(
                 "table1", seed=700 + i, priority="bulk",
                 tenant="light",
             )
@@ -265,7 +271,7 @@ def _measure_two_tenant() -> dict:
         flood_thread.join()
         elapsed = time.perf_counter() - start
         assert all(r.ok for r in flood_replies)
-        tenants = client.metrics().payload["tenants"]
+        tenants = fleet.metrics()["tenants"]
 
     light_mean = sum(light_latencies) / len(light_latencies)
     fifo_wait = N_FLOOD * TENANT_JOB_S

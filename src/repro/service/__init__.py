@@ -21,20 +21,15 @@ loaded peers.  See ``DESIGN.md`` §11 for the architecture, §12 for
 the failure semantics and §14 for the fleet.
 """
 
-from repro.service.client import (
-    InProcessClient,
-    ServiceClient,
-    ServiceReply,
-)
+from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceConfig, SimulationService
 from repro.service.fleet import (
     FleetConfig,
     FleetMember,
-    HttpPeerTransport,
     LocalFleet,
     LocalTransport,
 )
-from repro.service.http import HttpFrontend
+from repro.service.http import HttpFrontend, HttpPeerTransport
 from repro.service.metrics import LatencyStats, ServiceMetrics, percentile
 from repro.service.requests import (
     BULK,
@@ -81,8 +76,6 @@ __all__ = [
     "percentile",
     "HttpFrontend",
     "ServiceClient",
-    "InProcessClient",
-    "ServiceReply",
     "BulkJournal",
     "WorkerSupervisor",
     "DEFAULT_SERVICE_RETRY",

@@ -1,4 +1,4 @@
-"""Thin clients for the simulation service.
+"""Thin HTTP client for the simulation service.
 
 :class:`ServiceClient` talks HTTP with :mod:`http.client` (stdlib).
 By default it keeps one **persistent keep-alive connection per
@@ -17,63 +17,25 @@ duplicate submission is absorbed by the cache or coalesced onto the
 in-flight run.  Timeouts deliberately do **not** retry — a stuck
 server is not a reset, and retrying would double the wait.
 
-:class:`InProcessClient` drives a
-:class:`~repro.service.daemon.SimulationService` coroutine pipeline
-from synchronous code via a background event loop — the same request
-semantics without sockets, used by tests and the service bench.
-
-Both return :class:`ServiceReply`, a small status + payload pair with
-accessors for the common fields.
+Every call returns the daemon's
+:class:`~repro.service.requests.ServiceResponse` decoded from the
+wire.  The same request semantics without sockets come from
+:class:`~repro.service.fleet.LocalFleet` (``LocalFleet(1)`` is one
+daemon).
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ServiceError
-from repro.service.daemon import ServiceConfig, SimulationService
-from repro.service.requests import SimRequest
-
-
-@dataclass
-class ServiceReply:
-    """One reply: HTTP-shaped status code plus decoded JSON payload."""
-
-    status: int
-    payload: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return 200 <= self.status < 300
-
-    @property
-    def result(self) -> Optional[str]:
-        """The rendered table text (``None`` unless ok)."""
-        return self.payload.get("result") if self.ok else None
-
-    @property
-    def cached(self) -> bool:
-        return bool(self.payload.get("cached"))
-
-    @property
-    def coalesced(self) -> bool:
-        return bool(self.payload.get("coalesced"))
-
-    @property
-    def retry_after(self) -> Optional[float]:
-        return self.payload.get("retry_after_s")
-
-    @property
-    def error(self) -> Optional[str]:
-        return self.payload.get("error")
+from repro.service.requests import ServiceResponse
 
 
 #: Errors meaning "the connection died" — safe to retry once with a
@@ -141,7 +103,7 @@ class ServiceClient:
         seed: Optional[int] = None,
         priority: str = "interactive",
         tenant: Optional[str] = None,
-    ) -> ServiceReply:
+    ) -> ServiceResponse:
         """Submit one simulation request and wait for its reply."""
         body = {
             "experiment": experiment,
@@ -155,7 +117,7 @@ class ServiceClient:
 
     def run_many(
         self, requests: Sequence[Dict[str, Any]], max_workers: int = 8
-    ) -> List[ServiceReply]:
+    ) -> List[ServiceResponse]:
         """Submit many request payloads concurrently (thread-per-call,
         order-preserving)."""
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -163,19 +125,19 @@ class ServiceClient:
                 pool.map(lambda kw: self.run(**kw), requests)
             )
 
-    def healthz(self) -> ServiceReply:
+    def healthz(self) -> ServiceResponse:
         return self._call("GET", "/healthz")
 
-    def metrics(self) -> ServiceReply:
+    def metrics(self) -> ServiceResponse:
         return self._call("GET", "/metrics")
 
-    def fleet_metrics(self) -> ServiceReply:
-        """Fleet-aggregated metrics (404 on a solo daemon)."""
+    def fleet_metrics(self) -> ServiceResponse:
+        """Fleet-aggregated metrics over every replica."""
         return self._call("GET", "/fleet/metrics")
 
     def wait_until_healthy(
         self, timeout: float = 30.0, interval: float = 0.1
-    ) -> ServiceReply:
+    ) -> ServiceResponse:
         """Poll ``/healthz`` until the daemon answers; raises
         :class:`ServiceError` on timeout."""
         deadline = time.monotonic() + timeout
@@ -209,7 +171,7 @@ class ServiceClient:
         method: str,
         path: str,
         body: Optional[Dict[str, Any]] = None,
-    ) -> ServiceReply:
+    ) -> ServiceResponse:
         payload = (
             None if body is None else json.dumps(body).encode("utf-8")
         )
@@ -252,7 +214,7 @@ class ServiceClient:
         path: str,
         payload: Optional[bytes],
         headers: Dict[str, str],
-    ) -> ServiceReply:
+    ) -> ServiceResponse:
         conn.request(method, path, body=payload, headers=headers)
         response = conn.getresponse()
         raw = response.read()
@@ -262,83 +224,4 @@ class ServiceClient:
             decoded = {"error": raw.decode("utf-8", "replace")}
         if response.will_close:
             self.close()
-        return ServiceReply(response.status, decoded)
-
-
-class InProcessClient:
-    """Drive a :class:`SimulationService` without sockets.
-
-    Spins a private event loop in a daemon thread, starts the service
-    on it, and exposes the same blocking ``run``/``healthz``/
-    ``metrics`` surface as :class:`ServiceClient`.  Use as a context
-    manager (``__exit__`` drains and stops the service).
-    """
-
-    def __init__(self, config: ServiceConfig, **service_kwargs: Any) -> None:
-        self._service = SimulationService(config, **service_kwargs)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, daemon=True
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def service(self) -> SimulationService:
-        return self._service
-
-    def __enter__(self) -> "InProcessClient":
-        self._thread.start()
-        self._await(self._service.start())
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._await(self._service.stop())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._loop.close()
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        experiment: str,
-        *,
-        scale: Optional[str] = None,
-        seed: Optional[int] = None,
-        priority: str = "interactive",
-        tenant: Optional[str] = None,
-    ) -> ServiceReply:
-        request = SimRequest(
-            experiment=experiment,
-            scale=scale,
-            seed=seed,
-            priority=priority,
-            tenant=tenant,
-        )
-        response = self._await(self._service.submit(request))
-        return ServiceReply(response.status, response.payload)
-
-    def run_many(
-        self, requests: Sequence[Dict[str, Any]], max_workers: int = 8
-    ) -> List[ServiceReply]:
-        """Submit many request payloads concurrently on the service
-        loop (the concurrency that exercises coalescing/admission)."""
-        futures = [
-            asyncio.run_coroutine_threadsafe(
-                self._service.submit(SimRequest(**kw)), self._loop
-            )
-            for kw in requests
-        ]
-        return [
-            ServiceReply(r.status, r.payload)
-            for r in (f.result() for f in futures)
-        ]
-
-    def healthz(self) -> ServiceReply:
-        return ServiceReply(200, self._service.healthz())
-
-    def metrics(self) -> ServiceReply:
-        return ServiceReply(200, self._service.metrics_snapshot())
-
-    # ------------------------------------------------------------------
-    def _await(self, coro: Any) -> Any:
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+        return ServiceResponse(response.status, decoded)

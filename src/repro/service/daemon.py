@@ -913,7 +913,6 @@ class SimulationService:
             429,
             {"status": "rejected", "error": label, "tenant": tenant,
              "retry_after_s": retry_after},
-            retry_after=retry_after,
         )
 
     def _reject_quota(
@@ -930,7 +929,6 @@ class SimulationService:
             429,
             {"status": "rejected", "error": label, "tenant": tenant,
              "quota": True, "retry_after_s": retry_after},
-            retry_after=retry_after,
         )
 
     def _tenant_depth(self, tenant: str) -> int:

@@ -42,9 +42,10 @@ daemons:
 
 Two transports implement the peer protocol: :class:`LocalTransport`
 (direct coroutine calls, for the in-process fleets the tests, bench
-and CI smoke build) and :class:`HttpPeerTransport` (persistent
-keep-alive sockets against the peer's ``/fleet/*`` routes).  The
-fleet logic cannot tell them apart.
+and CI smoke build) and
+:class:`~repro.service.http.HttpPeerTransport` (keep-alive
+connections to the peer's ``/fleet/*`` routes, framed by the same
+module as the front end).  The fleet logic cannot tell them apart.
 
 See ``DESIGN.md`` §14 for the topology, join protocol, consistency
 model, steal policy and the counters a stolen entry increments.
@@ -53,8 +54,9 @@ model, steal policy and the counters a stolen entry increments.
 from __future__ import annotations
 
 import asyncio
+import re
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -66,8 +68,8 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, ServiceError
-from repro.service.client import ServiceReply
 from repro.service.daemon import ServiceConfig, SimulationService
+from repro.service.http import HttpPeerTransport
 from repro.service.requests import (
     INTERACTIVE,
     ServiceResponse,
@@ -123,20 +125,9 @@ class FleetConfig:
             )
 
 
-def _request_payload(request: SimRequest) -> Dict[str, Any]:
-    """Wire form of a request (accepted by SimRequest.from_payload).
-
-    The tenant id travels with the request: a forwarded or stolen
-    entry is charged to the *originating* tenant's fair-share usage on
-    whichever replica executes it (content addresses still exclude
-    it)."""
-    return {
-        "experiment": request.experiment,
-        "scale": request.scale,
-        "seed": request.seed,
-        "priority": request.priority,
-        "tenant": request.tenant,
-    }
+#: The form of a content key (a SHA-256 hex digest, see
+#: :func:`repro.store.content_key`); peer cache routes serve no other.
+_CONTENT_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 class FleetMember:
@@ -151,10 +142,6 @@ class FleetMember:
         self,
         service: SimulationService,
         config: Optional[FleetConfig] = None,
-        *,
-        transport_factory: Optional[
-            Callable[[str, int], "HttpPeerTransport"]
-        ] = None,
     ) -> None:
         self.service = service
         self.config = config or FleetConfig()
@@ -164,9 +151,6 @@ class FleetMember:
         )
         #: replica id -> transport (everyone but self).
         self.peers: Dict[str, Any] = {}
-        self._transport_factory = transport_factory or (
-            lambda host, port: HttpPeerTransport(host, port)
-        )
         #: replica id -> (host, port) for members joined over HTTP.
         self._members: Dict[str, Tuple[str, int]] = {}
         self._next_index = 1
@@ -226,9 +210,7 @@ class FleetMember:
         for transport in self.peers.values():
             close = getattr(transport, "close", None)
             if close is not None:
-                result = close()
-                if asyncio.iscoroutine(result):
-                    await result
+                close()
 
     async def close(self) -> None:
         """begin_close + wait_idle + finish_close, in order."""
@@ -308,10 +290,10 @@ class FleetMember:
         if owner is None:
             return await self.service.submit(request)
         self.counters.forwards += 1
+        # The request travels whole, tenant included: the owner charges
+        # the originating tenant (content keys exclude it).
         try:
-            status, payload = await self.peers[owner].run(
-                _request_payload(request)
-            )
+            status, payload = await self.peers[owner].run(asdict(request))
             return ServiceResponse(status, payload)
         except Exception:  # noqa: BLE001 - degraded: owner unreachable
             return await self._run_remote_owned(request, key, owner)
@@ -346,14 +328,22 @@ class FleetMember:
     def handle_cache_get(self, key: str) -> Tuple[bool, Any]:
         """Serve a peer's cache lookup: ``(hit, value)``.  Only JSON
         textual products travel the wire; anything else (a worker's
-        pickled simulation product sharing the store) reports a miss."""
+        pickled simulation product sharing the store) reports a miss,
+        and so does a key that is not a content key — without touching
+        the store, whose disk layer names files after keys."""
+        if not _CONTENT_KEY.fullmatch(key):
+            return False, None
         value = self.service.store.peer_get(key)
         if value is PEER_MISS or not isinstance(value, str):
             return False, None
         return True, value
 
     def handle_cache_put(self, key: str, value: str) -> None:
-        """Accept a result replicated by the non-owner that computed it."""
+        """Accept a result replicated by the non-owner that computed
+        it; raises :class:`ServiceError`, storing nothing, for a key
+        that is not a content key."""
+        if not _CONTENT_KEY.fullmatch(key):
+            raise ServiceError(f"not a content key: {key!r}")
         self.service.store.peer_put(key, value)
 
     def handle_steal(
@@ -378,10 +368,7 @@ class FleetMember:
             )
         self.counters.steals_granted += len(tickets)
         return [
-            {
-                "entry_id": ticket.seq,
-                "request": _request_payload(ticket.item.request),
-            }
+            {"entry_id": ticket.seq, "request": asdict(ticket.item.request)}
             for ticket in tickets
         ]
 
@@ -437,7 +424,7 @@ class FleetMember:
         rid = f"r{self._next_index}"
         self._next_index += 1
         self._members[rid] = (host, port)
-        self.peers[rid] = self._transport_factory(host, port)
+        self.peers[rid] = HttpPeerTransport(host, port)
         self.ring.add(rid)
         members = self.members_payload()
         for peer_id in list(self.peers):
@@ -463,15 +450,25 @@ class FleetMember:
     ) -> None:
         """Adopt a membership broadcast: wire transports and ring
         points for members we have not met (append-only: the fleet
-        has no leave protocol; see DESIGN §14)."""
+        has no leave protocol; see DESIGN §14).  Raises
+        :class:`ServiceError`, adopting none of it, unless ``members``
+        is a list of ``{"id": str, "host": str, "port": int}``."""
+        if not isinstance(members, list) or not all(
+            isinstance(rec, dict)
+            and isinstance(rec.get("id"), str)
+            and isinstance(rec.get("host"), str)
+            and type(rec.get("port")) is int
+            for rec in members
+        ):
+            raise ServiceError(
+                "'members' must be a list of {id, host, port} records"
+            )
         for rec in members:
             rid = rec["id"]
-            self._members[rid] = (rec["host"], int(rec["port"]))
+            self._members[rid] = (rec["host"], rec["port"])
             if rid == self.replica_id or rid in self.peers:
                 continue
-            self.peers[rid] = self._transport_factory(
-                rec["host"], int(rec["port"])
-            )
+            self.peers[rid] = HttpPeerTransport(rec["host"], rec["port"])
             self.ring.add(rid)
 
     async def join(self, host: str, port: int) -> Dict[str, Any]:
@@ -482,17 +479,11 @@ class FleetMember:
                 "set_advertise() must run before join() so peers can "
                 "reach this replica"
             )
-        transport = self._transport_factory(host, port)
+        transport = HttpPeerTransport(host, port)
         try:
-            reply = await transport.join(
-                self._advertise[0], self._advertise[1]
-            )
+            reply = await transport.join(*self._advertise)
         finally:
-            close = getattr(transport, "close", None)
-            if close is not None:
-                result = close()
-                if asyncio.iscoroutine(result):
-                    await result
+            transport.close()
         old_id = self.replica_id
         self.replica_id = reply["id"]
         self._members.pop(old_id, None)
@@ -595,7 +586,17 @@ class FleetMember:
                 hit, value = False, None
             if hit:
                 self.counters.peer_hits += 1
-                return self._peer_ok(request, key, value, owner)
+                response = self.service._ok(
+                    request,
+                    request.resolve_scale(self.service.default_scale),
+                    key,
+                    value,
+                    cached=True,
+                    coalesced=False,
+                    elapsed=0.0,
+                )
+                response.payload["peer"] = owner
+                return response
             self.counters.peer_misses += 1
         response = await self.service.submit(request)
         if (
@@ -612,27 +613,6 @@ class FleetMember:
             except Exception:  # noqa: BLE001 - replication best-effort
                 pass
         return response
-
-    def _peer_ok(
-        self, request: SimRequest, key: str, text: str, owner: str
-    ) -> ServiceResponse:
-        scale = request.resolve_scale(self.service.default_scale)
-        return ServiceResponse(
-            200,
-            {
-                "status": "ok",
-                "experiment": request.experiment,
-                "scale": scale.name,
-                "seed": scale.seed,
-                "priority": request.priority,
-                "cached": True,
-                "coalesced": False,
-                "peer": owner,
-                "elapsed_s": 0.0,
-                "key": key,
-                "result": text,
-            },
-        )
 
 
 # ----------------------------------------------------------------------
@@ -678,207 +658,18 @@ class LocalTransport:
         self._member.handle_membership(members)
 
 
-class HttpPeerTransport:
-    """Peer transport over one persistent keep-alive HTTP connection.
-
-    RPCs are serialized per peer (one in flight at a time) on an
-    asyncio stream pair; a dead connection is re-opened and the RPC
-    retried once.  A steal whose first attempt died in flight is safe
-    to retry: if the victim *did* grant entries to the lost request,
-    its steal deadline re-enqueues them.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: float = 300.0,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._lock = asyncio.Lock()
-
-    # ------------------------------------------------------------------
-    async def run(
-        self, payload: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
-        return await self._request("POST", "/fleet/run", payload)
-
-    async def cache_get(self, key: str) -> Tuple[bool, Any]:
-        status, payload = await self._request(
-            "GET", f"/fleet/cache/{key}"
-        )
-        if status == 200:
-            return True, payload.get("value")
-        return False, None
-
-    async def cache_put(self, key: str, value: str) -> None:
-        status, payload = await self._request(
-            "POST", f"/fleet/cache/{key}", {"value": value}
-        )
-        if status != 200:
-            raise ServiceError(
-                f"peer cache put failed ({status}): "
-                f"{payload.get('error')}"
-            )
-
-    async def steal(
-        self, thief: str, max_n: int
-    ) -> List[Dict[str, Any]]:
-        status, payload = await self._request(
-            "POST", "/fleet/steal", {"thief": thief, "max_n": max_n}
-        )
-        if status != 200:
-            raise ServiceError(
-                f"steal refused ({status}): {payload.get('error')}"
-            )
-        return payload.get("entries", [])
-
-    async def stolen(
-        self, entry_id: int, status: int, payload: Dict[str, Any]
-    ) -> None:
-        rstatus, rpayload = await self._request(
-            "POST",
-            "/fleet/stolen",
-            {"entry_id": entry_id, "status": status,
-             "payload": payload},
-        )
-        if rstatus != 200:
-            raise ServiceError(
-                f"stolen report refused ({rstatus}): "
-                f"{rpayload.get('error')}"
-            )
-
-    async def metrics(self) -> Dict[str, Any]:
-        status, payload = await self._request("GET", "/metrics")
-        if status != 200:
-            raise ServiceError(f"peer metrics failed ({status})")
-        return payload
-
-    async def join(self, host: str, port: int) -> Dict[str, Any]:
-        status, payload = await self._request(
-            "POST", "/fleet/join", {"host": host, "port": port}
-        )
-        if status != 200:
-            raise ServiceError(
-                f"join refused ({status}): {payload.get('error')}"
-            )
-        return payload
-
-    async def membership(
-        self, members: Sequence[Dict[str, Any]]
-    ) -> None:
-        status, payload = await self._request(
-            "POST", "/fleet/membership", {"members": list(members)}
-        )
-        if status != 200:
-            raise ServiceError(
-                f"membership push refused ({status}): "
-                f"{payload.get('error')}"
-            )
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # noqa: BLE001 - already dead is fine
-                pass
-        self._reader = self._writer = None
-
-    async def _connect(self) -> None:
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
-            self.timeout,
-        )
-
-    async def _request(
-        self,
-        method: str,
-        path: str,
-        body: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        import json
-
-        encoded = (
-            b"" if body is None else json.dumps(body).encode("utf-8")
-        )
-        message = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(encoded)}\r\n"
-            f"Connection: keep-alive\r\n\r\n"
-        ).encode("latin-1") + encoded
-        async with self._lock:
-            last_exc: Optional[BaseException] = None
-            for attempt in (0, 1):
-                try:
-                    if self._writer is None:
-                        await self._connect()
-                    self._writer.write(message)
-                    await self._writer.drain()
-                    return await asyncio.wait_for(
-                        self._read_response(), self.timeout
-                    )
-                except (
-                    ConnectionError,
-                    OSError,
-                    asyncio.IncompleteReadError,
-                    asyncio.TimeoutError,
-                ) as exc:
-                    last_exc = exc
-                    self.close()
-                    if attempt:
-                        break
-            raise ServiceError(
-                f"peer {self.host}:{self.port} unreachable: "
-                f"{type(last_exc).__name__}: {last_exc}"
-            )
-
-    async def _read_response(self) -> Tuple[int, Dict[str, Any]]:
-        import json
-
-        status_line = await self._reader.readline()
-        parts = status_line.decode("latin-1").split()
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(
-                f"malformed peer status line: {status_line!r}"
-            )
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise ConnectionError("peer closed mid-headers")
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        raw = await self._reader.readexactly(length) if length else b""
-        if headers.get("connection", "").lower() == "close":
-            self.close()
-        payload = json.loads(raw.decode("utf-8")) if raw else {}
-        return status, payload
-
-
 # ----------------------------------------------------------------------
 # In-process fleet harness
 # ----------------------------------------------------------------------
 class LocalFleet:
     """An N-replica fleet on one background event loop, no sockets.
 
-    The harness the fleet tests, ``bench_fleet.py`` and the CI smoke
-    demo share: N independent :class:`SimulationService` instances
+    The harness the fleet tests, the service, resilience and fleet
+    benches and the CI smoke demo share: N independent :class:`SimulationService` instances
     (each with its own store — that separation is what makes peer
     caching observable), fully meshed over :class:`LocalTransport`,
-    driven synchronously like
-    :class:`~repro.service.client.InProcessClient`.
+    driven synchronously from a private event-loop thread.
+    ``LocalFleet(1)`` is one daemon without sockets.
 
     Use as a context manager; ``__exit__`` settles stolen work, then
     drains and stops every service.
@@ -913,7 +704,7 @@ class LocalFleet:
             service = SimulationService(base_service, **kwargs)
             member = FleetMember(
                 service,
-                _replace_id(base_fleet, f"r{i}", coordinator=i == 0),
+                replace(base_fleet, replica_id=f"r{i}", coordinator=i == 0),
             )
             self.members.append(member)
         for member in self.members:
@@ -958,22 +749,21 @@ class LocalFleet:
         priority: str = INTERACTIVE,
         tenant: Optional[str] = None,
         via: int = 0,
-    ) -> ServiceReply:
+    ) -> ServiceResponse:
         """Submit one request through replica ``via`` (default: the
         coordinator), blocking for the reply."""
         request = SimRequest(
             experiment=experiment, scale=scale, seed=seed,
             priority=priority, tenant=tenant,
         )
-        response = self._await(self.members[via].submit(request))
-        return ServiceReply(response.status, response.payload)
+        return self._await(self.members[via].submit(request))
 
     def run_many(
         self,
         payloads: Sequence[Dict[str, Any]],
         *,
         via: int = 0,
-    ) -> List[ServiceReply]:
+    ) -> List[ServiceResponse]:
         """Submit many request payloads concurrently (the concurrency
         that exercises routing, stealing and coalescing),
         order-preserving."""
@@ -983,10 +773,7 @@ class LocalFleet:
             )
             for kw in payloads
         ]
-        return [
-            ServiceReply(r.status, r.payload)
-            for r in (f.result() for f in futures)
-        ]
+        return [future.result() for future in futures]
 
     def metrics(self, via: int = 0) -> Dict[str, Any]:
         return self.members[via].metrics_snapshot()
@@ -1001,21 +788,10 @@ class LocalFleet:
         ).result(timeout=300.0)
 
 
-def _replace_id(
-    config: FleetConfig, replica_id: str, *, coordinator: bool
-) -> FleetConfig:
-    from dataclasses import replace
-
-    return replace(
-        config, replica_id=replica_id, coordinator=coordinator
-    )
-
-
 # Re-exported for callers that only import the fleet module.
 __all__ = [
     "FleetConfig",
     "FleetMember",
-    "HttpPeerTransport",
     "LocalFleet",
     "LocalTransport",
 ]

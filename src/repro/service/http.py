@@ -1,8 +1,12 @@
-"""Minimal stdlib HTTP/1.1 front end for the simulation service.
+"""Minimal stdlib HTTP/1.1 for the simulation service: the front end
+every daemon serves and the transport fleet peers call it with, on one
+message reader and one message writer.
 
 One deliberately small surface — JSON in/out, implemented directly on
-``asyncio.start_server`` so the daemon stays single-threaded and adds
-no runtime dependency:
+``asyncio`` streams so the daemon stays single-threaded and adds no
+runtime dependency.  :class:`HttpFrontend` serves a
+:class:`~repro.service.fleet.FleetMember` (a solo daemon is a
+one-member fleet):
 
 * ``POST /run`` — body is a :class:`~repro.service.requests.SimRequest`
   payload; response status mirrors the service pipeline (200 ok, 400
@@ -10,25 +14,25 @@ no runtime dependency:
   503 draining).  An ``X-Repro-Tenant`` header names the tenant when
   the body carries no ``"tenant"`` field (the body field wins);
 * ``GET /healthz`` — liveness, version and admission posture;
-* ``GET /metrics`` — counters, per-class latency and store behavior.
+* ``GET /metrics`` — counters, per-class latency, store behavior and
+  the replica's fleet section.
 
-When the daemon is a fleet replica (see :mod:`repro.service.fleet`)
-the front end also speaks the peer protocol — ``POST /fleet/run``
+The same front end speaks the peer protocol — ``POST /fleet/run``
 (owner-routed execution), ``GET``/``POST /fleet/cache/<key>`` (peer
 cache lookup/replication), ``POST /fleet/steal`` and ``/fleet/stolen``
 (work-stealing), ``POST /fleet/join`` and ``/fleet/membership``
-(self-assembly), and ``GET /fleet/metrics`` (fleet-wide aggregation).
-These routes answer 404 on a solo daemon.
+(self-assembly), and ``GET /fleet/metrics`` (fleet-wide aggregation)
+— and :class:`HttpPeerTransport` is its client.
 
 Connections are **persistent** (HTTP/1.1 keep-alive): the handler
 loops requests on one socket until the client sends ``Connection:
-close``, goes quiet past :attr:`HttpFrontend.keep_alive_timeout`, or
-disconnects.  HTTP/1.0 clients get one response per connection unless
-they opt in with ``Connection: keep-alive``.  Error responses close
-the connection — after a parse failure the framing can't be trusted.
+close``, goes quiet past :data:`KEEP_ALIVE_TIMEOUT_S`, or disconnects.
+HTTP/1.0 clients get one response per connection unless they opt in
+with ``Connection: keep-alive``.  Error responses close the connection
+— after a parse failure the framing can't be trusted.
 
-The parser accepts exactly what the bundled client emits (request
-line, headers, optional ``Content-Length`` body) and answers anything
+The parser accepts exactly what the bundled clients emit (start line,
+headers, optional ``Content-Length`` body) and answers anything
 malformed with a 400 rather than crashing the connection handler.
 """
 
@@ -36,14 +40,32 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import ServiceError
-from repro.service.daemon import SimulationService
 from repro.service.requests import ServiceResponse, SimRequest
 
-#: Refuse unreasonable request bodies outright.
+if TYPE_CHECKING:
+    from repro.service.fleet import FleetMember
+
+#: Refuse unreasonable message bodies outright.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds an idle persistent connection may sit between requests
+#: before the server closes it.
+KEEP_ALIVE_TIMEOUT_S = 75.0
+
+#: Seconds a peer RPC may take to connect, and then to be answered.
+PEER_TIMEOUT_S = 300.0
 
 #: Request header naming the tenant a ``/run`` body should be
 #: attributed to when the body itself carries no ``"tenant"`` field
@@ -62,41 +84,29 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+#: The POST routes with a JSON object body.
+_POST_ROUTES = (
+    "/run", "/fleet/run", "/fleet/steal", "/fleet/stolen",
+    "/fleet/join", "/fleet/membership",
+)
+
 
 class HttpFrontend:
-    """Serve a :class:`SimulationService` (and optionally its fleet
-    membership) over HTTP.
+    """Serve a :class:`~repro.service.fleet.FleetMember` over HTTP.
 
-    Parameters
-    ----------
-    service:
-        The admission pipeline behind ``/run``.
-    host, port:
-        Bind address; ``port=0`` picks a free port, reflected back
-        into :attr:`port` after :meth:`start`.
-    member:
-        The daemon's :class:`~repro.service.fleet.FleetMember`.  When
-        set, ``/run`` routes by content address across the fleet and
-        the ``/fleet/*`` peer routes come alive.
-    keep_alive_timeout:
-        Seconds an idle persistent connection may sit between
-        requests before the server closes it.
+    ``port=0`` picks a free port, reflected back into :attr:`port`
+    after :meth:`start`.
     """
 
     def __init__(
         self,
-        service: SimulationService,
+        member: "FleetMember",
         host: str = "127.0.0.1",
         port: int = 8765,
-        *,
-        member: Optional[Any] = None,
-        keep_alive_timeout: float = 75.0,
     ) -> None:
-        self.service = service
+        self.member = member
         self.host = host
         self.port = port
-        self.member = member
-        self.keep_alive_timeout = keep_alive_timeout
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[asyncio.StreamWriter] = set()
 
@@ -129,27 +139,44 @@ class HttpFrontend:
         self._connections.add(writer)
         try:
             while True:
-                parsed = await self._next_request(reader)
+                try:
+                    parsed = await asyncio.wait_for(
+                        _read_message(reader), KEEP_ALIVE_TIMEOUT_S
+                    )
+                except asyncio.TimeoutError:
+                    break  # idle between requests
                 if parsed is None:
-                    break  # clean EOF or idle timeout between requests
+                    break  # clean EOF
                 keep_alive = False
                 if isinstance(parsed, ServiceResponse):
                     response = parsed
                 else:
-                    method, path, body, headers, keep_alive = parsed
+                    start, headers, body, keep_alive = parsed
                     try:
                         response = await self._route(
-                            method, path, body, headers
+                            start[0].upper(),
+                            start[1].split("?", 1)[0],
+                            body,
+                            headers,
                         )
                     except Exception as exc:  # noqa: BLE001 - boundary
                         keep_alive = False
-                        response = ServiceResponse(
-                            500,
-                            {"status": "error",
-                             "error": f"{type(exc).__name__}: {exc}"},
+                        response = _error(
+                            500, f"{type(exc).__name__}: {exc}"
                         )
+                extra = []
+                if response.retry_after is not None:
+                    extra.append(
+                        f"Retry-After: {max(1, round(response.retry_after))}"
+                    )
+                reason = _REASONS.get(response.status, "Unknown")
                 try:
-                    writer.write(_serialize(response, keep_alive))
+                    writer.write(_serialize(
+                        f"HTTP/1.1 {response.status} {reason}",
+                        response.payload,
+                        keep_alive,
+                        *extra,
+                    ))
                     await writer.drain()
                 except (ConnectionError, OSError):
                     break
@@ -163,195 +190,282 @@ class HttpFrontend:
             except (ConnectionError, OSError):
                 pass
 
-    async def _next_request(self, reader: asyncio.StreamReader):
-        """One request off a persistent connection: ``None`` on clean
-        EOF/idle-timeout, an error :class:`ServiceResponse`, or
-        ``(method, path, body, headers, keep_alive)``."""
-        try:
-            parsed = await asyncio.wait_for(
-                _read_request(reader), self.keep_alive_timeout
-            )
-        except asyncio.TimeoutError:
-            return None
-        return parsed
-
     async def _route(
         self,
         method: str,
         path: str,
         body: bytes,
-        headers: Optional[Dict[str, str]] = None,
+        headers: Dict[str, str],
     ) -> ServiceResponse:
-        headers = headers or {}
-        if path == "/healthz":
-            if method != "GET":
-                return _method_not_allowed("GET")
-            return ServiceResponse(200, self.service.healthz())
-        if path == "/metrics":
-            if method != "GET":
-                return _method_not_allowed("GET")
-            if self.member is not None:
-                return ServiceResponse(
-                    200, self.member.metrics_snapshot()
-                )
-            return ServiceResponse(200, self.service.metrics_snapshot())
-        if path == "/run":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            parsed = _parse_request_body(
-                body, header_tenant=headers.get(TENANT_HEADER)
-            )
-            if isinstance(parsed, ServiceResponse):
-                return parsed
-            if self.member is not None:
-                return await self.member.submit(parsed)
-            return await self.service.submit(parsed)
-        if path.startswith("/fleet/"):
-            return await self._route_fleet(method, path, body, headers)
-        return ServiceResponse(
-            404, {"status": "error", "error": f"no such path {path!r}"}
-        )
-
-    # ------------------------------------------------------------------
-    async def _route_fleet(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> ServiceResponse:
-        headers = headers or {}
         member = self.member
-        if member is None:
-            return ServiceResponse(
-                404,
-                {"status": "error",
-                 "error": "this daemon is not a fleet replica"},
-            )
-        if path == "/fleet/metrics":
+        if path in ("/healthz", "/metrics", "/fleet/metrics"):
             if method != "GET":
                 return _method_not_allowed("GET")
+            if path == "/healthz":
+                return ServiceResponse(200, member.service.healthz())
+            if path == "/metrics":
+                return ServiceResponse(200, member.metrics_snapshot())
             return ServiceResponse(200, await member.fleet_metrics())
-        if path == "/fleet/run":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            parsed = _parse_request_body(
+        if path.startswith("/fleet/cache/"):
+            return self._route_cache(
+                method, path[len("/fleet/cache/"):], body
+            )
+        if path not in _POST_ROUTES:
+            return _error(404, f"no such path {path!r}")
+        if method != "POST":
+            return _method_not_allowed("POST")
+        if path in ("/run", "/fleet/run"):
+            request = _parse_request_body(
                 body, header_tenant=headers.get(TENANT_HEADER)
             )
-            if isinstance(parsed, ServiceResponse):
-                return parsed
-            return await member.handle_routed(parsed)
-        if path.startswith("/fleet/cache/"):
-            key = path[len("/fleet/cache/"):]
-            if not key:
-                return ServiceResponse(
-                    404, {"status": "error", "error": "missing key"}
-                )
-            if method == "GET":
-                hit, value = member.handle_cache_get(key)
-                if not hit:
-                    return ServiceResponse(
-                        404, {"status": "miss", "key": key}
-                    )
-                return ServiceResponse(
-                    200, {"status": "ok", "key": key, "value": value}
-                )
-            if method == "POST":
-                payload = _parse_json(body)
-                if isinstance(payload, ServiceResponse):
-                    return payload
-                value = payload.get("value")
-                if not isinstance(value, str):
-                    return ServiceResponse(
-                        400,
-                        {"status": "error",
-                         "error": "'value' must be a string"},
-                    )
-                member.handle_cache_put(key, value)
-                return ServiceResponse(200, {"status": "ok"})
-            return _method_not_allowed("GET, POST")
+            if isinstance(request, ServiceResponse):
+                return request
+            if path == "/run":
+                return await member.submit(request)
+            return await member.handle_routed(request)
+        payload = _parse_json(body)
+        if isinstance(payload, ServiceResponse):
+            return payload
         if path == "/fleet/steal":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            payload = _parse_json(body)
-            if isinstance(payload, ServiceResponse):
-                return payload
-            entries = member.handle_steal(
-                str(payload.get("thief", "?")),
-                int(payload.get("max_n", 1)),
-            )
+            thief = payload.get("thief", "?")
+            max_n = payload.get("max_n", 1)
+            if not isinstance(thief, str) or type(max_n) is not int:
+                return _error(
+                    400, "steal needs 'thief' (str) and 'max_n' (int)"
+                )
+            entries = member.handle_steal(thief, max_n)
             return ServiceResponse(
                 200, {"status": "ok", "entries": entries}
             )
         if path == "/fleet/stolen":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            payload = _parse_json(body)
-            if isinstance(payload, ServiceResponse):
-                return payload
-            member.handle_stolen(
-                int(payload.get("entry_id", -1)),
-                int(payload.get("status", 500)),
-                payload.get("payload") or {},
-            )
+            entry_id = payload.get("entry_id")
+            status = payload.get("status")
+            report = payload.get("payload") or {}
+            if (
+                type(entry_id) is not int
+                or type(status) is not int
+                or not isinstance(report, dict)
+                or (
+                    200 <= status < 300
+                    and not isinstance(report.get("result"), str)
+                )
+            ):
+                return _error(
+                    400,
+                    "a stolen report needs 'entry_id' and 'status' "
+                    "(int) and a 'payload' object, with a 'result' "
+                    "string on success",
+                )
+            member.handle_stolen(entry_id, status, report)
             return ServiceResponse(200, {"status": "ok"})
         if path == "/fleet/join":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            payload = _parse_json(body)
-            if isinstance(payload, ServiceResponse):
-                return payload
             host = payload.get("host")
             port = payload.get("port")
-            if not isinstance(host, str) or not isinstance(port, int):
-                return ServiceResponse(
-                    400,
-                    {"status": "error",
-                     "error": "join needs 'host' (str) and 'port' (int)"},
+            if not isinstance(host, str) or type(port) is not int:
+                return _error(
+                    400, "join needs 'host' (str) and 'port' (int)"
                 )
             try:
-                reply = member.handle_join(host, port)
+                return ServiceResponse(200, member.handle_join(host, port))
             except ServiceError as exc:
-                return ServiceResponse(
-                    409, {"status": "error", "error": str(exc)}
+                return _error(409, str(exc))
+        try:  # /fleet/membership
+            member.handle_membership(payload.get("members"))
+        except ServiceError as exc:
+            return _error(400, str(exc))
+        return ServiceResponse(200, {"status": "ok"})
+
+    def _route_cache(
+        self, method: str, key: str, body: bytes
+    ) -> ServiceResponse:
+        if method == "GET":
+            hit, value = self.member.handle_cache_get(key)
+            if not hit:
+                return ServiceResponse(404, {"status": "miss", "key": key})
+            return ServiceResponse(
+                200, {"status": "ok", "key": key, "value": value}
+            )
+        if method != "POST":
+            return _method_not_allowed("GET, POST")
+        payload = _parse_json(body)
+        if isinstance(payload, ServiceResponse):
+            return payload
+        value = payload.get("value")
+        if not isinstance(value, str):
+            return _error(400, "'value' must be a string")
+        try:
+            self.member.handle_cache_put(key, value)
+        except ServiceError as exc:
+            return _error(400, str(exc))
+        return ServiceResponse(200, {"status": "ok"})
+
+
+class HttpPeerTransport:
+    """Peer transport over keep-alive HTTP connections to one peer's
+    ``/fleet/*`` routes.
+
+    Each RPC takes an idle connection, or opens one, and gives it back
+    after a complete response, so RPCs to one peer run concurrently: a
+    forwarded interactive request never waits behind a bulk request
+    already forwarded to the same owner.  A connection that fails, or
+    that the peer closes, is dropped, and the RPC is retried once on a
+    fresh connection.  A steal whose first attempt died in flight is
+    safe to retry: if the victim *did* grant entries to the lost
+    request, its steal deadline re-enqueues them.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._idle: List[
+            Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = []
+
+    # ------------------------------------------------------------------
+    async def run(
+        self, payload: Dict[str, Any]
+    ) -> Tuple[int, Dict[str, Any]]:
+        return await self._request("POST", "/fleet/run", payload)
+
+    async def cache_get(self, key: str) -> Tuple[bool, Any]:
+        status, payload = await self._request(
+            "GET", f"/fleet/cache/{key}"
+        )
+        if status == 200:
+            return True, payload.get("value")
+        return False, None
+
+    async def cache_put(self, key: str, value: str) -> None:
+        await self._call(
+            "peer cache put", f"/fleet/cache/{key}", {"value": value}
+        )
+
+    async def steal(
+        self, thief: str, max_n: int
+    ) -> List[Dict[str, Any]]:
+        payload = await self._call(
+            "steal", "/fleet/steal", {"thief": thief, "max_n": max_n}
+        )
+        return payload.get("entries", [])
+
+    async def stolen(
+        self, entry_id: int, status: int, payload: Dict[str, Any]
+    ) -> None:
+        await self._call(
+            "stolen report",
+            "/fleet/stolen",
+            {"entry_id": entry_id, "status": status, "payload": payload},
+        )
+
+    async def metrics(self) -> Dict[str, Any]:
+        return await self._call("peer metrics", "/metrics")
+
+    async def join(self, host: str, port: int) -> Dict[str, Any]:
+        return await self._call(
+            "join", "/fleet/join", {"host": host, "port": port}
+        )
+
+    async def membership(
+        self, members: Sequence[Dict[str, Any]]
+    ) -> None:
+        await self._call(
+            "membership push",
+            "/fleet/membership",
+            {"members": list(members)},
+        )
+
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close the idle connections."""
+        for _reader, writer in self._idle:
+            writer.close()
+        self._idle.clear()
+
+    async def _call(
+        self, what: str, path: str, body: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """One RPC that must answer 200: its payload, else a
+        :class:`ServiceError` (``body=None`` sends a GET)."""
+        method = "GET" if body is None else "POST"
+        status, payload = await self._request(method, path, body)
+        if status != 200:
+            raise ServiceError(
+                f"{what} refused ({status}): {payload.get('error')}"
+            )
+        return payload
+
+    async def _request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[int, Dict[str, Any]]:
+        message = _serialize(
+            f"{method} {path} HTTP/1.1",
+            body,
+            True,
+            f"Host: {self.host}:{self.port}",
+        )
+        for attempt in (0, 1):
+            conn = None
+            keep = False
+            try:
+                if self._idle and not attempt:
+                    conn = self._idle.pop()
+                else:
+                    conn = await asyncio.wait_for(
+                        asyncio.open_connection(self.host, self.port),
+                        PEER_TIMEOUT_S,
+                    )
+                conn[1].write(message)
+                await conn[1].drain()
+                reply = await asyncio.wait_for(
+                    _read_message(conn[0]), PEER_TIMEOUT_S
                 )
-            return ServiceResponse(200, reply)
-        if path == "/fleet/membership":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            payload = _parse_json(body)
-            if isinstance(payload, ServiceResponse):
-                return payload
-            members = payload.get("members")
-            if not isinstance(members, list):
-                return ServiceResponse(
-                    400,
-                    {"status": "error",
-                     "error": "'members' must be a list"},
+                if (
+                    not isinstance(reply, tuple)
+                    or not reply[0][1].isdigit()
+                ):
+                    raise ConnectionError(f"bad peer reply: {reply!r}")
+                start, _headers, raw, keep = reply
+                return int(start[1]), (
+                    json.loads(raw.decode("utf-8")) if raw else {}
                 )
-            member.handle_membership(members)
-            return ServiceResponse(200, {"status": "ok"})
-        return ServiceResponse(
-            404, {"status": "error", "error": f"no such path {path!r}"}
+            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                error = exc
+            finally:
+                # Only a connection whose response was read whole, and
+                # that the peer keeps open, can carry the next RPC.
+                if conn is not None:
+                    if keep:
+                        self._idle.append(conn)
+                    else:
+                        conn[1].close()
+        raise ServiceError(
+            f"peer {self.host}:{self.port} unreachable: "
+            f"{type(error).__name__}: {error}"
         )
 
 
 # ----------------------------------------------------------------------
 # Wire helpers
 # ----------------------------------------------------------------------
+def _error(status: int, message: str) -> ServiceResponse:
+    return ServiceResponse(status, {"status": "error", "error": message})
+
+
+def _method_not_allowed(allowed: str) -> ServiceResponse:
+    return _error(405, f"method not allowed; use {allowed}")
+
+
 def _parse_json(body: bytes):
     """Decode a JSON object body, or a ready 400 response."""
     try:
         payload = json.loads(body.decode("utf-8") or "null")
     except ValueError as exc:
-        return ServiceResponse(
-            400, {"status": "error", "error": f"bad JSON body: {exc}"}
-        )
+        return _error(400, f"bad JSON body: {exc}")
     if not isinstance(payload, dict):
-        return ServiceResponse(
-            400,
-            {"status": "error", "error": "body must be a JSON object"},
-        )
+        return _error(400, "body must be a JSON object")
     return payload
 
 
@@ -374,80 +488,72 @@ def _parse_request_body(
             payload = dict(payload, tenant=header_tenant)
         return SimRequest.from_payload(payload)
     except (ValueError, ServiceError) as exc:
-        return ServiceResponse(
-            400, {"status": "error", "error": str(exc)}
-        )
+        return _error(400, str(exc))
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-):
-    """Parse one HTTP request; returns ``None`` on clean EOF (client
-    finished with the keep-alive connection), an error
-    :class:`ServiceResponse`, or ``(method, path, body, keep_alive)``."""
+async def _read_message(reader: asyncio.StreamReader):
+    """Parse one HTTP message, a request (the server's side) or a
+    response (the peer transport's side).  Returns ``None`` on a clean
+    EOF before it (the other end finished with the keep-alive
+    connection), an error :class:`ServiceResponse` when the framing is
+    broken, or ``(start, headers, body, keep_alive)``, ``start`` being
+    the words of the request or status line."""
     try:
-        request_line = await reader.readline()
+        start_line = await reader.readline()
     except (ConnectionError, OSError):
-        request_line = b""
-    if not request_line.strip():
+        start_line = b""
+    if not start_line.strip():
         return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) < 2:
-        return ServiceResponse(
-            400, {"status": "error", "error": "malformed request line"}
-        )
-    method, path = parts[0].upper(), parts[1].split("?", 1)[0]
-    version = parts[2].upper() if len(parts) > 2 else "HTTP/1.0"
+    start = start_line.decode("latin-1").split()
+    if len(start) < 2:
+        return _error(400, "malformed start line")
     headers: Dict[str, str] = {}
     while True:
         line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
+        if line in (b"\r\n", b"\n"):
             break
+        if not line:
+            return _error(400, "truncated headers")
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
-        return ServiceResponse(
-            400, {"status": "error", "error": "bad Content-Length"}
-        )
+        return _error(400, "bad Content-Length")
     if length > MAX_BODY_BYTES:
-        return ServiceResponse(
-            413, {"status": "error", "error": "request body too large"}
-        )
+        return _error(413, "message body too large")
     try:
         body = await reader.readexactly(length) if length else b""
     except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return ServiceResponse(
-            400, {"status": "error", "error": "truncated request body"}
-        )
+        return _error(400, "truncated body")
+    # A status line leads with the version; a request line ends with it.
+    if start[0].upper().startswith("HTTP/"):
+        version = start[0].upper()
+    else:
+        version = start[2].upper() if len(start) > 2 else "HTTP/1.0"
     connection = headers.get("connection", "").lower()
     if version == "HTTP/1.1":
         keep_alive = connection != "close"
     else:
         keep_alive = connection == "keep-alive"
-    return method, path, body, headers, keep_alive
-
-
-def _method_not_allowed(allowed: str) -> ServiceResponse:
-    return ServiceResponse(
-        405,
-        {"status": "error", "error": f"method not allowed; use {allowed}"},
-    )
+    return start, headers, body, keep_alive
 
 
 def _serialize(
-    response: ServiceResponse, keep_alive: bool = False
+    start: str,
+    payload: Optional[Dict[str, Any]],
+    keep_alive: bool,
+    *headers: str,
 ) -> bytes:
-    """Render a :class:`ServiceResponse` as an HTTP/1.1 message."""
-    body = json.dumps(response.payload).encode("utf-8")
-    reason = _REASONS.get(response.status, "Unknown")
-    headers = [
-        f"HTTP/1.1 {response.status} {reason}",
+    """Render one HTTP/1.1 message, a request or a response after its
+    ``start`` line, with ``payload`` as its JSON body (none when
+    ``None``) and any extra ``headers``."""
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    lines = [
+        start,
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        *headers,
     ]
-    if response.retry_after is not None:
-        headers.append(f"Retry-After: {max(1, round(response.retry_after))}")
-    return ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body

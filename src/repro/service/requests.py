@@ -46,17 +46,38 @@ MAX_TENANT_LEN = 64
 @dataclass
 class ServiceResponse:
     """One service-layer response: an HTTP-shaped status code plus a
-    JSON-ready payload.  The HTTP front end serializes it verbatim;
+    JSON-ready payload.  The HTTP front end serializes it verbatim,
+    :class:`~repro.service.client.ServiceClient` decodes it back, and
     the in-process path returns it directly."""
 
     status: int
     payload: Dict[str, Any]
-    #: Backpressure hint (seconds), set on 429 rejections.
-    retry_after: Optional[float] = None
 
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
+
+    @property
+    def result(self) -> Optional[str]:
+        """The rendered table text (``None`` unless ok)."""
+        return self.payload.get("result") if self.ok else None
+
+    @property
+    def cached(self) -> bool:
+        return bool(self.payload.get("cached"))
+
+    @property
+    def coalesced(self) -> bool:
+        return bool(self.payload.get("coalesced"))
+
+    @property
+    def retry_after(self) -> Optional[float]:
+        """Backpressure hint (seconds), set on 429 rejections."""
+        return self.payload.get("retry_after_s")
+
+    @property
+    def error(self) -> Optional[str]:
+        return self.payload.get("error")
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ async def _serve(
         service, FleetConfig(coordinator=join is None)
     )
     await member.start()
-    frontend = HttpFrontend(service, host, port, member=member)
+    frontend = HttpFrontend(member, host, port)
     await frontend.start()
     member.set_advertise(host, frontend.port)
     if join is not None:

@@ -9,16 +9,19 @@ Three layers:
   acceptance property that a fleet sweep is byte-identical to a
   serial solo run, and parity with the solo daemon's bulk guarantees
   (fair-share order, journaling, ``max_queue``).
-* An in-process HTTP fleet (two real front ends, joined over
-  ``/fleet/join`` with :class:`HttpPeerTransport` peers) pins the
-  wire protocol.
+* In-process HTTP fleets (real front ends, joined over
+  ``/fleet/join`` with :class:`HttpPeerTransport` peers) pin the wire
+  protocol: concurrent RPCs to one peer, and peer routes that refuse
+  malformed bodies and cache keys that are not content keys.
 * One subprocess test boots two real ``repro serve`` daemons with
   ``--join`` and drives them through :class:`ServiceClient` — the
   exact deployment shape.
 """
 
 import asyncio
+import json
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -121,7 +124,7 @@ class TestSingleMember:
         with _fleet(1) as fleet:
             reply = fleet.run("table1", seed=1)
             assert reply.ok
-            assert reply.payload["result"] == "rendered table1 seed=1"
+            assert reply.result == "rendered table1 seed=1"
             again = fleet.run("table1", seed=1)
             assert again.cached
             counters = fleet.members[0].counters
@@ -129,6 +132,31 @@ class TestSingleMember:
             assert counters.steals == 0
             snap = fleet.metrics()
             assert snap["fleet"]["replica_count"] == 1
+
+    def test_context_manager_roundtrip(self):
+        """``LocalFleet(1)`` is the in-process daemon: a compute, then
+        a cache hit, with health and metrics read in the same block."""
+        with _fleet(1) as fleet:
+            first = fleet.run("table1", seed=31)
+            again = fleet.run("table1", seed=31)
+            assert first.ok and not first.cached
+            assert again.cached
+            assert fleet.members[0].service.healthz()["status"] == "ok"
+            snap = fleet.metrics()
+            assert snap["counters"]["computes"] == 1
+
+    def test_run_many_coalesces(self):
+        """Identical concurrent requests cost one compute: the rest
+        coalesce onto the in-flight run."""
+        with _fleet(1) as fleet:
+            payloads = [
+                {"experiment": "table1", "seed": 41} for _ in range(5)
+            ]
+            replies = fleet.run_many(payloads)
+            assert all(r.ok for r in replies)
+            counters = fleet.members[0].counters
+            assert counters.computes == 1
+            assert counters.coalesced_hits == 4
 
 
 class TestRouting:
@@ -226,17 +254,18 @@ class TestPeerCache:
             assert other.counters.peer_hits == 1
 
     def test_cache_handlers_roundtrip(self):
+        absent, key = "0" * 64, "1" * 64
         with _fleet(2) as fleet:
             member = fleet.members[0]
-            hit, _ = member.handle_cache_get("nope")
+            hit, _ = member.handle_cache_get(absent)
             assert not hit
-            member.handle_cache_put("k1", "value-1")
-            hit, value = member.handle_cache_get("k1")
+            member.handle_cache_put(key, "value-1")
+            hit, value = member.handle_cache_get(key)
             assert hit and value == "value-1"
             # peer_put never overwrites (first write wins; values are
             # immutable so this is only defensive).
-            member.handle_cache_put("k1", "value-2")
-            _, value = member.handle_cache_get("k1")
+            member.handle_cache_put(key, "value-2")
+            _, value = member.handle_cache_get(key)
             assert value == "value-1"
             store = member.service.store.counters
             assert store.peer_gets == 3
@@ -531,15 +560,16 @@ class TestSoloParity:
     def test_max_queue_bounds_replica(self):
         """The daemon's ``max_queue`` bounds a fleet replica: with
         one request in service and two queued, a third owned bulk
-        request gets the "bulk queue full" 429."""
+        request gets the "bulk queue full" 429, and keeps its
+        Retry-After when another replica forwarded it."""
         gated = GatedWorker()
         with _held_fleet(2, gated, max_queue=2) as fleet:
             member = fleet.members[0]
             seeds = _seeds_owned_by(member, "r0", 4, 2000)
 
-            def submit(seed):
+            def submit(seed, via=member):
                 return asyncio.ensure_future(
-                    member.submit(
+                    via.submit(
                         SimRequest("table1", seed=seed, priority="bulk")
                     )
                 )
@@ -549,7 +579,7 @@ class TestSoloParity:
                 for seed in seeds[:3]:
                     accepted.append(submit(seed))
                     await asyncio.sleep(0.05)
-                fourth = submit(seeds[3])
+                fourth = submit(seeds[3], via=fleet.members[1])
                 await asyncio.sleep(0.1)
                 answered_early = fourth.done()
                 gated.release()
@@ -563,7 +593,8 @@ class TestSoloParity:
             assert answered_early
             assert response.status == 429
             assert response.payload["error"] == "bulk queue full"
-            assert response.payload["retry_after_s"] >= 1.0
+            assert response.retry_after == response.payload["retry_after_s"]
+            assert response.retry_after >= 1.0
             assert [r.status for r in accepted] == [200] * 3
             assert member.counters.rejections == 1
 
@@ -738,42 +769,81 @@ class TestTenancy:
             assert tenant.rejections == 1
 
 
-class TestHttpFleet:
-    """Two real HTTP front ends joined over the wire protocol."""
+class _HttpFleet:
+    """Real HTTP replicas on one background loop, one per service:
+    each a :class:`FleetMember` behind an :class:`HttpFrontend`, ``r0``
+    the coordinator.  Tests join the others over the wire."""
 
-    def test_join_route_and_ring_convergence(self):
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
+    def __init__(self, services, **fleet_kwargs):
+        self.services = services
+        self.fleet_kwargs = fleet_kwargs
+        self.members = []
+        self.frontends = []
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(
+            target=self.loop.run_forever, daemon=True
+        )
 
-        def call(coro, timeout=30.0):
-            return asyncio.run_coroutine_threadsafe(
-                coro, loop
-            ).result(timeout)
+    def call(self, coro, timeout=30.0):
+        return asyncio.run_coroutine_threadsafe(
+            coro, self.loop
+        ).result(timeout)
 
-        services = [make_service() for _ in range(2)]
-        members = []
-        frontends = []
+    def join(self, i):
+        """Join replica ``i`` to the coordinator; the join reply."""
+        return self.call(
+            self.members[i].join("127.0.0.1", self.frontends[0].port)
+        )
+
+    def __enter__(self):
+        self.thread.start()
         try:
-            for i, service in enumerate(services):
-                call(service.start())
+            for i, service in enumerate(self.services):
+                self.call(service.start())
                 member = FleetMember(
                     service,
-                    FleetConfig(
-                        coordinator=i == 0,
-                        steal_interval=0.01,
-                        steal_timeout=5.0,
-                    ),
+                    FleetConfig(coordinator=i == 0, **self.fleet_kwargs),
                 )
-                call(member.start())
-                frontend = HttpFrontend(service, port=0, member=member)
-                call(frontend.start())
+                self.members.append(member)
+                self.call(member.start())
+                frontend = HttpFrontend(member, port=0)
+                self.call(frontend.start())
+                self.frontends.append(frontend)
                 member.set_advertise("127.0.0.1", frontend.port)
-                members.append(member)
-                frontends.append(frontend)
-            reply = call(
-                members[1].join("127.0.0.1", frontends[0].port)
-            )
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        for member in self.members:
+            member.begin_close()
+        for member in self.members:
+            try:
+                self.call(member.wait_idle(timeout=10.0))
+            except ServiceError:
+                pass
+        for frontend in self.frontends:
+            self.call(frontend.stop())
+        for member in self.members:
+            self.call(member.finish_close())
+        for member in self.members:
+            self.call(member.service.stop())
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(timeout=10.0)
+        self.loop.close()
+
+
+class TestHttpFleet:
+    """Real HTTP front ends joined over the wire protocol."""
+
+    def test_join_route_and_ring_convergence(self):
+        services = [make_service() for _ in range(2)]
+        with _HttpFleet(
+            services, steal_interval=0.01, steal_timeout=5.0
+        ) as fleet:
+            members, frontends = fleet.members, fleet.frontends
+            reply = fleet.join(1)
             assert reply["id"] == "r1"
             assert len(reply["members"]) == 2
             # Both rings converged on the same membership.
@@ -794,26 +864,198 @@ class TestHttpFleet:
             assert agg.payload["totals"]["computes"] == 1
             # A second join against the NON-coordinator is refused.
             with pytest.raises(ServiceError, match="coordinator"):
-                call(members[0].peers["r1"].join("127.0.0.1", 1))
+                fleet.call(members[0].peers["r1"].join("127.0.0.1", 1))
             c0.close()
             c1.close()
-        finally:
-            for member in members:
-                member.begin_close()
-            for member in members:
-                try:
-                    call(member.wait_idle(timeout=10.0))
-                except ServiceError:
+
+    def test_forwarded_interactive_passes_forwarded_bulk(self):
+        """The owner dispatches an interactive request at once (DESIGN
+        §14), so one forwarded to it must not wait behind a bulk
+        request forwarded there before it and held in a worker: RPCs
+        to one peer do not queue behind each other."""
+        entered, gate = threading.Event(), threading.Event()
+        held = []
+
+        def worker(name, scale, store_path, check_invariants):
+            if scale.seed in held:
+                entered.set()
+                gate.wait(30.0)
+            return f"rendered {name} seed={scale.seed}"
+
+        services = [
+            make_service(workers=2, bulk_cap=0.5, worker_fn=worker),
+            make_service(worker_fn=worker),
+        ]
+        with _HttpFleet(services, steal_interval=60.0) as fleet:
+            fleet.join(1)
+            # Both requests enter through r1; r0 owns both keys.
+            entry = ServiceClient(
+                port=fleet.frontends[1].port, timeout=10.0, keep_alive=False
+            )
+            bulk_seed, seed = _seeds_owned_by(fleet.members[1], "r0", 2)
+            held.append(bulk_seed)
+            bulk = []
+            sender = threading.Thread(
+                target=lambda: bulk.append(
+                    entry.run("table1", seed=bulk_seed, priority="bulk")
+                )
+            )
+            sender.start()
+            try:
+                assert entered.wait(10.0), "bulk request never ran"
+                reply = entry.run("table1", seed=seed)
+                assert reply.ok and reply.payload["seed"] == seed
+                assert not bulk, "the bulk request was not held"
+            finally:
+                gate.set()
+                sender.join(timeout=30.0)
+            assert not sender.is_alive()
+            assert bulk[0].ok
+            assert fleet.members[1].counters.forwards == 2
+            assert fleet.members[0].counters.computes == 2
+
+
+def _raw(port, method, path, body=None):
+    """One request on its own connection: ``(status, payload)``."""
+    data = b"" if body is None else json.dumps(body).encode("utf-8")
+    head = (
+        f"{method} {path} HTTP/1.1\r\nContent-Length: {len(data)}\r\n"
+        f"Connection: close\r\n\r\n"
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(head.encode("latin-1") + data)
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    head, _, payload = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+#: Stands for the entry id of the stolen-out ticket in a report body.
+_ENTRY = object()
+_RECORD = {"id": "r5", "host": "127.0.0.1", "port": 1}
+
+
+class TestPeerRouteChecks:
+    """The peer routes check what they are sent before acting on it."""
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            pytest.param("/fleet/steal", {"thief": "r9", "max_n": "x"},
+                         id="steal-max_n-str"),
+            pytest.param("/fleet/steal", {"thief": 7, "max_n": 1},
+                         id="steal-thief-int"),
+            pytest.param("/fleet/stolen",
+                         {"entry_id": "x", "status": 200,
+                          "payload": {"result": "t"}},
+                         id="stolen-entry_id-str"),
+            pytest.param("/fleet/stolen",
+                         {"entry_id": _ENTRY, "status": "200",
+                          "payload": {"result": "t"}},
+                         id="stolen-status-str"),
+            pytest.param("/fleet/stolen",
+                         {"entry_id": _ENTRY, "status": 200,
+                          "payload": {"status": "ok"}},
+                         id="stolen-ok-without-result"),
+            pytest.param("/fleet/stolen",
+                         {"entry_id": _ENTRY, "status": 200,
+                          "payload": "t"},
+                         id="stolen-payload-str"),
+            pytest.param("/fleet/membership",
+                         {"members": [_RECORD, {"id": "r6", "port": 2}]},
+                         id="membership-no-host"),
+            pytest.param("/fleet/membership",
+                         {"members": [_RECORD, dict(_RECORD, id="r6",
+                                                    port="2")]},
+                         id="membership-port-str"),
+            pytest.param("/fleet/membership", {"members": ["r5"]},
+                         id="membership-record-str"),
+        ],
+    )
+    def test_malformed_body_answers_400_and_changes_nothing(
+        self, path, body
+    ):
+        """A body of the wrong shape is a 400, not a 500, and leaves
+        the ring, the peers, the queue and the stolen-out tickets as
+        they were — a member list is checked whole first."""
+        with _HttpFleet([make_service()], steal_interval=60.0) as fleet:
+            member = fleet.members[0]
+            queue = member.service.tenancy.queue
+
+            def grant():
+                # Two queued tickets, one granted to a thief: a steal
+                # could take the other, a report could settle this one.
+                for seed in (1, 2):
+                    _push_ticket(member, seed, f"key-{seed}")
+                (rec,) = member.handle_steal("r9", 1)
+                return rec["entry_id"]
+
+            def state():
+                return (
+                    member.ring.replicas,
+                    sorted(member.peers),
+                    sorted(member._members),
+                    sorted(member._stolen_out),
+                    len(queue),
+                    member.counters.steals_granted,
+                )
+
+            entry_id = fleet.call(_as_coro(grant))
+            body = {
+                name: entry_id if value is _ENTRY else value
+                for name, value in body.items()
+            }
+            before = fleet.call(_as_coro(state))
+            status, payload = _raw(
+                fleet.frontends[0].port, "POST", path, body
+            )
+            after = fleet.call(_as_coro(state))
+
+            def settle():
+                member.handle_stolen(
+                    entry_id, 200, {"status": "ok", "result": "t"}
+                )
+                while queue.pop() is not None:
                     pass
-            for frontend in frontends:
-                call(frontend.stop())
-            for member in members:
-                call(member.finish_close())
-            for service in services:
-                call(service.stop())
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=10.0)
-            loop.close()
+
+            fleet.call(_as_coro(settle))
+        assert status == 400, payload
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["../outside/{}", "{root}/outside/{}", "sub/{}"],
+        ids=["dotdot", "absolute", "slash"],
+    )
+    def test_cache_routes_refuse_non_content_keys(self, tmp_path, shape):
+        """A peer cache key names a file in the store directory, so
+        only content keys (64 lowercase hex) reach the store: any
+        other key is a GET miss and a POST 400, and neither reads nor
+        writes a file — here, planted pickles outside the store and
+        in a subdirectory of it."""
+        store = tmp_path / "store"
+        (store / "sub").mkdir(parents=True)
+        (tmp_path / "outside").mkdir()
+        for where in (tmp_path / "outside", store / "sub"):
+            (where / "planted.pkl").write_bytes(pickle.dumps("planted"))
+        service = make_service(store_path=str(store))
+        with _HttpFleet([service], steal_interval=60.0) as fleet:
+            port = fleet.frontends[0].port
+            planted = shape.format("planted", root=tmp_path)
+            status, payload = _raw(port, "GET", f"/fleet/cache/{planted}")
+            assert (status, payload["status"]) == (404, "miss")
+            written = shape.format("written", root=tmp_path)
+            status, _ = _raw(
+                port, "POST", f"/fleet/cache/{written}", {"value": "v"}
+            )
+            assert status == 400
+        assert service.store.counters.peer_gets == 0
+        assert service.store.counters.peer_puts == 0
+        assert not list(tmp_path.rglob("written.pkl"))
 
 
 class TestSubprocessFleet:

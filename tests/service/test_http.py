@@ -1,8 +1,9 @@
-"""Tests for the HTTP front end and the two clients.
+"""Tests for the HTTP front end and its client.
 
-A real ``asyncio`` server is booted on an ephemeral port with the
-thread-pool stub worker behind it, and driven through
-:class:`ServiceClient` (plus one raw socket for wire-level cases).
+A real ``asyncio`` server is booted on an ephemeral port in front of a
+one-member fleet with the thread-pool stub worker behind it, and
+driven through :class:`ServiceClient` (plus one raw socket for
+wire-level cases).
 """
 
 import asyncio
@@ -13,18 +14,13 @@ import threading
 import pytest
 
 from repro.errors import ServiceError
-from repro.experiments.config import SCALES
-from repro.service import (
-    HttpFrontend,
-    InProcessClient,
-    ServiceClient,
-    ServiceConfig,
-)
-from tests.service.conftest import make_service, quick_worker
+from repro.service import FleetMember, HttpFrontend, ServiceClient
+from tests.service.conftest import make_service
 
 
 class ServedFixture:
-    """A service + HTTP front end running on a background loop."""
+    """A one-member fleet + HTTP front end running on a background
+    loop."""
 
     def __init__(self, **service_kwargs):
         self.loop = asyncio.new_event_loop()
@@ -34,7 +30,9 @@ class ServedFixture:
         self.thread.start()
         self.service = make_service(**service_kwargs)
         self.call(self.service.start())
-        self.frontend = HttpFrontend(self.service, port=0)
+        self.member = FleetMember(self.service)
+        self.call(self.member.start())
+        self.frontend = HttpFrontend(self.member, port=0)
         self.call(self.frontend.start())
         self.client = ServiceClient(port=self.frontend.port)
 
@@ -45,6 +43,7 @@ class ServedFixture:
 
     def close(self):
         self.call(self.frontend.stop())
+        self.call(self.member.finish_close())
         self.call(self.service.stop())
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=10.0)
@@ -276,9 +275,7 @@ class TestClientKeepAlive:
         # connection (including the client's) is closed.
         port = served.frontend.port
         served.call(served.frontend.stop())
-        served.frontend = HttpFrontend(
-            served.service, port=port
-        )
+        served.frontend = HttpFrontend(served.member, port=port)
         served.call(served.frontend.start())
         again = served.client.run("table1", seed=71)
         assert again.ok
@@ -318,39 +315,6 @@ class TestClientSurface:
             client.wait_until_healthy(timeout=0.3, interval=0.05)
 
 
-class TestInProcessClient:
-    def test_context_manager_roundtrip(self):
-        config = ServiceConfig(workers=2, scale=SCALES["quick"])
-        with InProcessClient(
-            config,
-            pool_factory=_thread_pool,
-            worker_fn=quick_worker,
-        ) as client:
-            first = client.run("table1", seed=31)
-            again = client.run("table1", seed=31)
-            assert first.ok and not first.cached
-            assert again.cached
-            assert client.healthz().payload["status"] == "ok"
-            snap = client.metrics().payload
-            assert snap["counters"]["computes"] == 1
-
-    def test_run_many_coalesces(self):
-        config = ServiceConfig(workers=2, scale=SCALES["quick"])
-        with InProcessClient(
-            config,
-            pool_factory=_thread_pool,
-            worker_fn=quick_worker,
-        ) as client:
-            payloads = [
-                {"experiment": "table1", "seed": 41} for _ in range(5)
-            ]
-            replies = client.run_many(payloads)
-            assert all(r.ok for r in replies)
-            counters = client.service.metrics.counters
-            assert counters.computes == 1
-            assert counters.coalesced_hits == 4
-
-
 def _read_one_response(sock: socket.socket) -> bytes:
     """Read exactly one HTTP response off a keep-alive socket."""
     data = b""
@@ -371,8 +335,3 @@ def _read_one_response(sock: socket.socket) -> bytes:
         rest += chunk
     return head + b"\r\n\r\n" + rest
 
-
-def _thread_pool(n):
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=n)

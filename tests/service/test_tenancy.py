@@ -45,6 +45,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import SCALES
 from repro.sched.fairshare import FairShareTracker
 from repro.service import (
+    FleetMember,
+    HttpFrontend,
     ServiceClient,
     ServiceConfig,
     ServiceMetrics,
@@ -55,7 +57,6 @@ from repro.service import (
     TenantQuota,
     WorkerAutoscaler,
 )
-from repro.service.http import HttpFrontend
 from tests.service.conftest import (
     GatedWorker,
     make_service,
@@ -863,9 +864,11 @@ class TestHttpTenancy:
         service = make_tenant_service(
             workers=2, tenant_quota=TenantQuota(1)
         )
-        frontend = HttpFrontend(service, port=0)
+        member = FleetMember(service)
+        frontend = HttpFrontend(member, port=0)
         try:
             call(service.start())
+            call(member.start())
             call(frontend.start())
             alice = ServiceClient(
                 port=frontend.port, tenant="alice"
@@ -893,6 +896,7 @@ class TestHttpTenancy:
             bob.close()
         finally:
             call(frontend.stop())
+            call(member.finish_close())
             call(service.stop())
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=10.0)
