@@ -87,13 +87,6 @@ class _BudgetedView:
         # the claim timeline is the real cluster's unchanged.
         return self._cluster.release_claims()
 
-    def earliest_fit_estimate(self, cpus: int, t: float) -> float:
-        if self.fits_now(cpus):
-            return t
-        return self._cluster.earliest_fit_estimate(
-            cpus + self._granted, t
-        )
-
 
 class CompositeInterstitialSource(InterstitialSource):
     """Multiplexes several interstitial sources over shared leftovers.

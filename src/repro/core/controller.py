@@ -152,8 +152,10 @@ class InterstitialController(InterstitialSource):
             )
         # Widths are checked where the spec first meets a machine, so a
         # too-wide project (nominal or elastic max) fails here with a
-        # clear error instead of deep inside the engine.
-        project.validate_for(machine)
+        # clear error instead of deep inside the engine.  ``make_job``
+        # checks them while building the one template every offer's
+        # cohort copies; the template is never started or mutated.
+        self._template = project.make_job(machine)
         self.machine = machine
         self.project = project
         self.runtime = project.runtime_on(machine)
@@ -255,7 +257,7 @@ class InterstitialController(InterstitialSource):
     ) -> Offer:
         """Records to start now: checkpointed fragments (records of
         one) ahead of one :class:`~repro.jobs.Cohort` of fresh members,
-        built from a single :meth:`InterstitialProject.make_job`."""
+        copied from the controller's template and submitted at ``t``."""
         if t < self.start_time or self.exhausted:
             return Offer()
         if t < self._throttled_until:
@@ -303,8 +305,9 @@ class InterstitialController(InterstitialSource):
         if math.isfinite(self._remaining):
             fresh = min(fresh, int(self._remaining))
         if fresh > 0:
-            template = self.project.make_job(self.machine, submit_time=t)
-            records.append(Cohort(template, fresh))
+            cohort = Cohort(self._template, fresh)
+            cohort.submit_time = t
+            records.append(cohort)
             self._remaining -= fresh
         submitted = len(records)
         self.n_submitted += submitted

@@ -170,9 +170,9 @@ class ElasticInterstitialController(InterstitialController):
         residue = 0
         if malleable and queue_blocked:
             residue = sum(
-                rec.job.min_cpus or 0
-                for rec in cluster.running.values()
-                if rec.job.is_interstitial and rec.job.malleable
+                job.min_cpus or 0
+                for job in cluster.running.values()
+                if job.is_interstitial and job.malleable
             )
         jobs = Offer()
         remaining = self._remaining
@@ -236,13 +236,12 @@ class ElasticInterstitialController(InterstitialController):
         if budget <= 0:
             return []
         requests: List[Tuple[Job, int]] = []
-        for rec in sorted(
+        for job in sorted(
             cluster.running.values(),
-            key=lambda r: (r.start_time, r.job.job_id),
+            key=lambda job: (job.start_time, job.job_id),
         ):
             if budget <= 0:
                 break
-            job = rec.job
             if not (job.is_interstitial and job.malleable):
                 continue
             room = job.max_cpus - job.cpus  # type: ignore[operator]

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.experiments.config import ExperimentScale
 from repro.jobs import InterstitialProject
-from repro.machines import Machine, preset
 from repro.metrics.tables import format_table
 
 #: Interstitial accounting identity used by all experiments.
@@ -30,11 +29,6 @@ def rng_for(scale: ExperimentScale, salt: str) -> np.random.Generator:
     return np.random.default_rng(
         (scale.seed, zlib.crc32(salt.encode("utf-8")))
     )
-
-
-def machine_for(machine_name: str) -> Machine:
-    """Preset machine lookup (thin alias kept for driver readability)."""
-    return preset(machine_name)
 
 
 @dataclass

@@ -168,8 +168,8 @@ class InterstitialProject:
 
         Interstitial runtimes have zero variance (paper §4) and the
         controller knows them exactly, so ``estimate == runtime``.  A
-        controller builds one per offer, as the template of a
-        :class:`~repro.jobs.cohort.Cohort` of identical members.
+        controller builds one, at construction, as the template every
+        offer's :class:`~repro.jobs.cohort.Cohort` copies.
         """
         self.validate_for(machine)
         runtime = self.runtime_on(machine)

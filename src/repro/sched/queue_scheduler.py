@@ -320,9 +320,11 @@ class QueueScheduler(Scheduler):
         factors = self.policy.class_factors(
             [bucket[0][3] for bucket in buckets], t
         )
-        entries: List[OrderEntry] = []
-        for bucket, f in zip(buckets, factors):
-            entries += [(wt - f, s, jid, job) for wt, s, jid, job in bucket]
+        entries: List[OrderEntry] = [
+            (wt - f, s, jid, job)
+            for bucket, f in zip(buckets, factors)
+            for wt, s, jid, job in bucket
+        ]
         entries.sort()
         self._order = entries
         self._order_version = version
@@ -369,9 +371,8 @@ class QueueScheduler(Scheduler):
                 timers.start("release_timeline")
             estimate = self.predictor.estimate
             claims = [
-                (rec.start_time + estimate(rec.job), float(rec.cpus),
-                 rec.job.count)
-                for rec in cluster.running.values()
+                (job.start_time + estimate(job), float(job.cpus), job.count)
+                for job in cluster.running.values()
             ]
             claims.sort()
             self._claims_cache = claims

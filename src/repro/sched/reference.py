@@ -145,9 +145,9 @@ class ReferenceQueueScheduler(Scheduler):
     ) -> List[Tuple[float, float, int]]:
         """One claim per running member (runs expanded)."""
         return [
-            (rec.start_time + self._estimate(rec.job), float(rec.cpus), 1)
-            for rec in cluster.running.values()
-            for _member in range(rec.job.count)
+            (job.start_time + self._estimate(job), float(job.cpus), 1)
+            for job in cluster.running.values()
+            for _member in range(job.count)
         ]
 
     def _earliest_capacity(

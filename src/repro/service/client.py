@@ -119,11 +119,25 @@ class ServiceClient:
         self, requests: Sequence[Dict[str, Any]], max_workers: int = 8
     ) -> List[ServiceResponse]:
         """Submit many request payloads concurrently (thread-per-call,
-        order-preserving)."""
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(
-                pool.map(lambda kw: self.run(**kw), requests)
-            )
+        order-preserving).  The pool's threads end with the call, so
+        the keep-alive connections they opened are closed before it
+        returns."""
+        opened: Dict[int, http.client.HTTPConnection] = {}
+
+        def run(kwargs: Dict[str, Any]) -> ServiceResponse:
+            try:
+                return self.run(**kwargs)
+            finally:
+                conn = getattr(self._local, "conn", None)
+                if conn is not None:
+                    opened[threading.get_ident()] = conn
+
+        try:
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                return list(pool.map(run, requests))
+        finally:
+            for conn in opened.values():
+                conn.close()
 
     def healthz(self) -> ServiceResponse:
         return self._call("GET", "/healthz")

@@ -73,12 +73,6 @@ class SimConfig:
                 f"wake_interval must be positive, got {self.wake_interval}"
             )
 
-    @property
-    def invariants_enabled(self) -> bool:
-        """Whether the accounting validator runs (alias kept for the
-        engine's call sites)."""
-        return bool(self.check_invariants)
-
 
 class Engine:
     """Replays a native trace through a scheduler on a machine.
@@ -279,7 +273,9 @@ class Engine:
         wake_until = self._wake_until()
         if self.config.wake_interval is not None and wake_until > 0:
             self.events.push(self.config.wake_interval, EventKind.WAKE, None)
-        check = self.config.invariants_enabled
+        check = self.config.check_invariants
+        until = self.config.until
+        events = self.events
         counters = self.counters
         timers = self.timers
         if self._rec:
@@ -294,18 +290,16 @@ class Engine:
             )
 
         t = 0.0
-        while self.events:
-            next_time = self.events.peek_time()
+        while True:
+            next_time = events.peek_time()
             if next_time is None:
-                raise SimulationError(
-                    "event queue reported non-empty but has no next event"
-                )
-            if self.config.until is not None and next_time > self.config.until:
-                t = self.config.until
+                break
+            if until is not None and next_time > until:
+                t = until
                 break
             if timers is not None:
                 timers.start("event_queue_ops")
-            batch = self.events.pop_batch()
+            batch = events.pop_batch()
             if timers is not None:
                 timers.stop("event_queue_ops")
             if batch[0].time < t:
@@ -327,16 +321,14 @@ class Engine:
             if check:
                 self._check_invariants(t)
                 counters.invariant_checks += 1
-            if not self.events and self.scheduler.queue_length > 0:
+            if not events and self.scheduler.queue_length > 0:
                 # Stall recovery: jobs remain queued (e.g. held by a
                 # time-of-day policy) but no event will ever re-run the
                 # scheduler.  Wake periodically until they drain —
                 # progress is guaranteed because queued jobs fit the
                 # machine and every hold (time-of-day windows, outages)
                 # eventually opens.
-                self.events.push(
-                    t + self._stall_interval(), EventKind.WAKE, None
-                )
+                events.push(t + self._stall_interval(), EventKind.WAKE, None)
         if self._rec:
             self._record(t, "run_end", detail=self.counters.finishes)
         return self._collect(t)
@@ -509,7 +501,7 @@ class Engine:
         of it with :meth:`_detach`.
         """
         running = self.cluster.running  # keyed by (first) job id
-        records = [running[job_id].job for job_id in sorted(running)]
+        records = [running[job_id] for job_id in sorted(running)]
         widths = [job.cpus for job in records]
         members: Optional[List[Tuple[int, int]]] = None
         if sum(widths) != self.cluster.busy_cpus:
@@ -685,19 +677,15 @@ class Engine:
         # The feasibility sums are order-free integer sums, so they run
         # over the unsorted records; most calls give up right after.
         victims = [
-            rec
-            for rec in self.cluster.running.values()
-            if rec.job.is_interstitial
+            job for job in self.cluster.running.values() if job.is_interstitial
         ]
         shrinkable = 0
         if source.elastic:
             shrinkable = sum(
-                rec.job.cpus - rec.job.min_cpus
-                for rec in victims
-                if rec.job.malleable
+                job.cpus - job.min_cpus for job in victims if job.malleable
             )
         killable = (
-            sum(rec.job.cpus * rec.job.count for rec in victims)
+            sum(job.cpus * job.count for job in victims)
             if source.preemptible
             else 0
         )
@@ -708,13 +696,12 @@ class Engine:
             # interstitial throughput without helping, so wait for
             # native releases instead.
             return False
-        victims.sort(key=lambda rec: (-rec.start_time, -rec.job.job_id))
+        victims.sort(key=lambda job: (-job.start_time, -job.job_id))
         freed = 0
         if shrinkable > 0:
-            for rec in victims:
+            for job in victims:
                 if freed >= deficit:
                     break
-                job = rec.job
                 if not job.malleable:
                     continue
                 give = min(job.cpus - job.min_cpus, deficit - freed)
@@ -727,10 +714,9 @@ class Engine:
         if freed >= deficit:
             return True
         killed: List[Job] = []
-        for rec in victims:
+        for job in victims:
             if freed >= deficit:
                 break
-            job = rec.job
             if job.state is not JobState.RUNNING:
                 continue  # defensive; shrinks never change state
             # A cohort's youngest members are the top of its id range;
@@ -800,12 +786,13 @@ class Engine:
         """Start the records one scheduling step (a native ``schedule``
         call or one interstitial ``offer``) hands over.
 
-        The cluster allocates them in one call, and each run of
-        consecutive records that share a finish time gets one FINISH
-        entry holding the records and their member count.  Per-member
-        entries would have been pushed back to back with contiguous
-        sequence numbers, so the single entry holds their place in the
-        ``(time, kind, seq)`` order (DESIGN §13).
+        The cluster allocates them in one call, stamping each record's
+        ``start_time``, and each run of consecutive records that share
+        a finish time gets one FINISH entry holding the records and
+        their member count.  Per-member entries would have been pushed
+        back to back with contiguous sequence numbers, so the single
+        entry holds their place in the ``(time, kind, seq)`` order
+        (DESIGN §13).
         """
         if not jobs:
             return
@@ -818,7 +805,6 @@ class Engine:
         members = started = 0
         end = None
         for job in jobs:
-            job.start_time = t
             job.state = running
             finish = t + job.runtime
             expected[job.job_id] = finish
@@ -841,9 +827,7 @@ class Engine:
             self._record_members(t, "start", jobs, busy, 1)
 
     def _collect(self, t: float) -> SimResult:
-        unfinished: List[Job] = [
-            rec.job for rec in self.cluster.running.values()
-        ]
+        unfinished: List[Job] = list(self.cluster.running.values())
         unfinished.extend(self.scheduler.pending_jobs())
         unfinished.extend(self._awaiting_retry.values())
         # Trace jobs whose SUBMIT event never fired (an ``until`` stop

@@ -12,7 +12,6 @@ import enum
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.errors import SimulationError
@@ -44,21 +43,29 @@ class EventKind(enum.IntEnum):
     WAKE = 6
 
 
-@dataclass(frozen=True, order=True)
 class Event:
-    """A single simulator event; orderable by (time, kind, seq)."""
+    """A single simulator event, ordered in its queue by
+    ``(time, kind, seq)``.
 
-    time: float
-    kind: EventKind
-    seq: int
-    payload: Any = field(compare=False, default=None)
+    A plain slotted class rather than a dataclass: the engine builds
+    one per push, and a generated frozen ``__init__`` costs a
+    measurable share of a continual run.
+    """
+
+    __slots__ = ("time", "kind", "seq", "payload")
+
+    def __init__(
+        self, time: float, kind: EventKind, seq: int, payload: Any = None
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.seq = seq
+        self.payload = payload
 
 
 #: Internal heap entry: ``(time, kind, seq, event)``.  The prefix is
-#: exactly the event's compare key, and ``seq`` is unique, so ordering
-#: is identical to comparing :class:`Event` objects — but the
-#: comparisons run entirely in C tuple code instead of the dataclass's
-#: generated ``__lt__`` (a measurable share of the hot loop).
+#: the event's order key and ``seq`` is unique, so the heap compares
+#: entries entirely in C tuple code and never reaches the event.
 _Entry = tuple
 
 

@@ -7,14 +7,14 @@ the engine's event queue.
 
 The unit of tracking is a *record*: a job, or a
 :class:`~repro.jobs.Cohort` of ``count`` identical members (a job is a
-record of one).  A record has one running entry and one release key,
-and release claims are ``(estimated finish, cpus, count)`` runs.
+record of one).  A running record is its own running entry (stamped
+with its ``start_time``) and has one release key; release claims are
+``(estimated finish, cpus, count)`` runs.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CapacityError, SchedulingError, SimulationError
@@ -26,32 +26,13 @@ from repro.machines import Machine
 Claim = Tuple[float, float, int]
 
 
-@dataclass(frozen=True)
-class RunningJob:
-    """A running record together with its scheduler-visible completion
-    time."""
-
-    job: Job
-    start_time: float
-
-    @property
-    def estimated_finish(self) -> float:
-        """When the scheduler must assume the job will release its CPUs
-        (start + user estimate; the batch system kills at this point)."""
-        return self.start_time + self.job.estimate
-
-    @property
-    def cpus(self) -> int:
-        """Width of one member."""
-        return self.job.cpus
-
-
 class ClusterState:
     """Tracks CPU allocation on one machine during a simulation."""
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.running: Dict[int, RunningJob] = {}
+        #: Running records by (first) job id.
+        self.running: Dict[int, Job] = {}
         self.busy_cpus: int = 0
         #: CPUs removed from service by drain-style outages (see
         #: repro.sim.outages); running jobs survive these.
@@ -88,7 +69,7 @@ class ClusterState:
         Clamped at zero: an outage window overlapping a burst of node
         failures can nominally take down more capacity than exists.
         """
-        return max(0, self.total_cpus - self.down_cpus - self.failed_cpus)
+        return max(0, self.machine.cpus - self.down_cpus - self.failed_cpus)
 
     @property
     def free_cpus(self) -> int:
@@ -96,9 +77,15 @@ class ClusterState:
 
         During an outage the in-service count can momentarily be lower
         than the busy count (running jobs are not preempted), in which
-        case no CPUs are free.
+        case no CPUs are free.  This is ``max(0, available - busy)``
+        written as one expression (busy is never negative), because
+        every scheduling pass asks for it.
         """
-        return max(0, self.available_cpus - self.busy_cpus)
+        return max(
+            0,
+            self.machine.cpus - self.down_cpus - self.failed_cpus
+            - self.busy_cpus,
+        )
 
     @property
     def instantaneous_utilization(self) -> float:
@@ -114,8 +101,9 @@ class ClusterState:
         """Allocate CPUs to the records ``jobs`` started together at
         time ``t``, with one joint capacity check and one epoch bump.
 
-        The release timeline gains one key per record, however many
-        members it counts (DESIGN §13).
+        Each record becomes its own running entry, stamped with
+        ``start_time = t``.  The release timeline gains one key per
+        record, however many members it counts (DESIGN §13).
         """
         running = self.running
         width = 0
@@ -133,7 +121,8 @@ class ClusterState:
         keys = []
         before = len(running)
         for job in jobs:
-            running[job.job_id] = RunningJob(job, t)
+            running[job.job_id] = job
+            job.start_time = t
             key = (t + job.estimate, float(job.cpus), job.count)
             key_of[job.job_id] = key
             keys.append(key)
@@ -191,7 +180,7 @@ class ClusterState:
         for key in keys:
             del timeline[bisect.bisect_left(timeline, key)]
 
-    def resize(self, job: Job, old_cpus: int) -> RunningJob:
+    def resize(self, job: Job, old_cpus: int) -> None:
         """Re-account a running elastic job whose width (and estimate)
         the engine just changed from ``old_cpus`` to ``job.cpus``.
 
@@ -203,8 +192,7 @@ class ClusterState:
         is what keeps scheduler pass-skip caches sound across resizes
         (DESIGN §13).
         """
-        record = self.running.get(job.job_id)
-        if record is None:
+        if job.job_id not in self.running:
             raise SchedulingError(
                 f"job {job.job_id} resized but was not running"
             )
@@ -219,26 +207,24 @@ class ClusterState:
             raise SchedulingError("negative busy CPU count")
         old_key = self._release_key_of.pop(job.job_id)
         del self._release_keys[bisect.bisect_left(self._release_keys, old_key)]
-        key = (record.estimated_finish, float(job.cpus), 1)
+        key = (job.start_time + job.estimate, float(job.cpus), 1)
         bisect.insort(self._release_keys, key)
         self._release_key_of[job.job_id] = key
         self.epoch += 1
-        return record
 
     def split(self, record: Job, piece: Job) -> None:
         """Track ``piece``, just detached from the running cohort
-        ``record`` (:meth:`~repro.jobs.Cohort.split`), as a running
-        record of its own.  The CPUs stay allocated; the timeline
-        carries the two records' claims and :attr:`epoch` bumps."""
+        ``record`` (:meth:`~repro.jobs.Cohort.split`, which copies the
+        start time), as a running record of its own.  The CPUs stay
+        allocated; the timeline carries the two records' claims and
+        :attr:`epoch` bumps."""
         key_of = self._release_key_of
         finish, cpus, _count = old = key_of[record.job_id]
         self._remove_keys([old])
         key_of[record.job_id] = (finish, cpus, record.count)
         key_of[piece.job_id] = (finish, cpus, piece.count)
         self._insert_keys([key_of[record.job_id], key_of[piece.job_id]])
-        self.running[piece.job_id] = RunningJob(
-            piece, self.running[record.job_id].start_time
-        )
+        self.running[piece.job_id] = piece
         self.epoch += 1
 
     def apply_outage(self, delta: int) -> None:
@@ -264,26 +250,6 @@ class ClusterState:
         """
         return self._release_keys
 
-    def earliest_fit_estimate(self, cpus: int, t: float) -> float:
-        """Earliest time (>= t) at which ``cpus`` CPUs are expected to be
-        free, based on running jobs' *estimated* completions.
-
-        This is the paper's ``backfillWallTime`` for a ``cpus``-wide head
-        job.  Returns ``t`` when the job already fits.  When even after
-        all running jobs release there is not enough in-service capacity
-        (deep outage), returns ``math.inf``.
-        """
-        if self.fits_now(cpus):
-            return t
-        free = self.free_cpus
-        for finish, released, count in self._release_keys:
-            # Sums of integer-valued floats are exact: a run of members
-            # covers the need exactly when its last member would.
-            free += released * count
-            if free >= cpus:
-                return max(t, finish)
-        return float("inf")
-
     # ------------------------------------------------------------------
     def check_invariants(self, t: float) -> None:
         """Validate cluster accounting; raise :class:`SimulationError`
@@ -304,7 +270,7 @@ class ClusterState:
         """
         problems: List[str] = []
         width_sum = sum(
-            rec.job.cpus * rec.job.count for rec in self.running.values()
+            job.cpus * job.count for job in self.running.values()
         )
         if self.busy_cpus != width_sum:
             problems.append(
@@ -335,9 +301,9 @@ class ClusterState:
                 f"entries for {len(self.running)} running records"
             )
         not_running = [
-            rec.job.job_id
-            for rec in self.running.values()
-            if rec.job.state is not JobState.RUNNING
+            job.job_id
+            for job in self.running.values()
+            if job.state is not JobState.RUNNING
         ]
         if not_running:
             problems.append(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.controller import InterstitialController
 from repro.errors import ConfigurationError
-from repro.jobs import InterstitialProject, JobKind, expand
+from repro.jobs import InterstitialProject, JobKind, JobState, expand
 from repro.sched import fcfs_scheduler
 from repro.sim.state import ClusterState
 
@@ -125,6 +125,23 @@ class TestSupply:
         ctrl = controller_for(small_machine, project)
         ctrl.offer(0.0, cluster, fcfs_scheduler())
         assert ctrl.n_submitted == 32
+
+    def test_offers_copy_one_untouched_template(
+        self, small_machine, project, cluster
+    ):
+        ctrl = controller_for(small_machine, project, continual=True)
+        first = ctrl.offer(10.0, cluster, fcfs_scheduler())
+        cluster.start(first, 10.0)
+        second = ctrl.offer(25.0, ClusterState(small_machine),
+                            fcfs_scheduler())
+        assert [r.submit_time for r in first] == [10.0]
+        assert [r.submit_time for r in second] == [25.0]
+        assert first[0].start_time == 10.0
+        assert second[0].start_time is None
+        template = ctrl._template
+        assert template.state is JobState.CREATED
+        assert template.start_time is None
+        assert template.submit_time == 0.0
 
 
 class TestUtilizationCap:

@@ -135,9 +135,8 @@ def test_planners_match_member_claims(data, runs, available):
     need=st.integers(1, 128),
 )
 def test_earliest_capacity_matches_member_walk(shapes, need):
-    """``ClusterState.earliest_fit_estimate`` and the scheduler's
-    cached ``_earliest_capacity`` walk cohort runs; both equal the
-    per-member walk over the same running set."""
+    """The scheduler's cached ``_earliest_capacity`` walks cohort runs
+    and equals the per-member walk over the same running set."""
     machine = Machine(name="M", cpus=128, clock_ghz=1.0,
                       queue_algorithm="FCFS")
     cluster = ClusterState(machine)
@@ -154,6 +153,5 @@ def test_earliest_capacity_matches_member_walk(shapes, need):
         0.0 if need <= cluster.free_cpus
         else _capacity_per_member(need, float(cluster.free_cpus), claims)
     )
-    assert cluster.earliest_fit_estimate(need, 0.0) == expected
     scheduler = fcfs_scheduler()
     assert scheduler._earliest_capacity(need, 0.0, cluster) == expected

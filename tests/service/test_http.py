@@ -7,6 +7,7 @@ wire-level cases).
 """
 
 import asyncio
+import http.client
 import json
 import socket
 import threading
@@ -308,6 +309,26 @@ class TestClientSurface:
         ]
         replies = served.client.run_many(payloads, max_workers=3)
         assert [r.payload["seed"] for r in replies] == [21, 22, 23]
+
+    def test_run_many_closes_pool_connections(self, served, monkeypatch):
+        # Each pool thread keeps a keep-alive connection; the threads
+        # end with the call, so their sockets must be closed by then
+        # rather than left for the garbage collector.
+        opened = []
+
+        class Recording(http.client.HTTPConnection):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(http.client, "HTTPConnection", Recording)
+        payloads = [
+            {"experiment": "table1", "seed": i} for i in (31, 32, 33)
+        ]
+        replies = served.client.run_many(payloads, max_workers=3)
+        assert [r.status for r in replies] == [200, 200, 200]
+        assert opened
+        assert [conn.sock for conn in opened] == [None] * len(opened)
 
     def test_wait_until_healthy_times_out_fast(self):
         client = ServiceClient(port=1, timeout=0.2)

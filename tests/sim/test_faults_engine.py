@@ -265,16 +265,29 @@ class TestReproducibility:
         assert self._fingerprint(plain) == self._fingerprint(checked)
 
 
-class TestInvariantChecking:
-    def test_config_flag_controls_checking(self):
-        assert SimConfig(check_invariants=True).invariants_enabled
-        assert not SimConfig(check_invariants=False).invariants_enabled
+def _invariant_checks(machine, config=None) -> int:
+    """Validator runs during one small native run under ``config``."""
+    trace = [make_job(cpus=2, runtime=10.0 * (i + 1)) for i in range(3)]
+    result = Engine(machine, fcfs(), trace, config=config).run()
+    return result.counters.invariant_checks
 
-    def test_off_by_default_with_no_process_global(self):
+
+class TestInvariantChecking:
+    def test_config_flag_controls_checking(self, tiny_machine):
+        assert SimConfig(check_invariants=True).check_invariants
+        assert _invariant_checks(
+            tiny_machine, SimConfig(check_invariants=True)
+        ) > 0
+        assert _invariant_checks(
+            tiny_machine, SimConfig(check_invariants=False)
+        ) == 0
+
+    def test_off_by_default_with_no_process_global(self, tiny_machine):
         # The old process-wide default was removed with the RunContext
         # refactor: checking is a plain per-config flag, off unless the
         # caller threads it through explicitly.
-        assert not SimConfig().invariants_enabled
+        assert not SimConfig().check_invariants
+        assert _invariant_checks(tiny_machine) == 0
         import repro.sim.engine as engine_mod
 
         assert not hasattr(engine_mod, "set_default_invariant_checking")

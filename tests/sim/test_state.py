@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.errors import CapacityError, SchedulingError
+from repro.jobs import Cohort, JobKind
+from repro.sched import fcfs_scheduler
 from repro.sim.state import ClusterState
 
 from tests.conftest import make_job
@@ -66,6 +68,34 @@ class TestAllocation:
         assert cluster.instantaneous_utilization == 0.5
 
 
+class TestRunningRecords:
+    """A running record is its own entry in ``running``."""
+
+    def test_start_stamps_start_time(self, cluster):
+        jobs = [make_job(cpus=2), make_job(cpus=3)]
+        cluster.start(jobs, 12.5)
+        assert [job.start_time for job in jobs] == [12.5, 12.5]
+
+    def test_running_entry_is_the_record(self, cluster):
+        job = make_job(cpus=2)
+        cohort = Cohort(make_job(cpus=1, kind=JobKind.INTERSTITIAL), 4)
+        cluster.start([job, cohort], 3.0)
+        assert cluster.running[job.job_id] is job
+        assert cluster.running[cohort.job_id] is cohort
+
+    def test_split_piece_keeps_start_time(self, cluster):
+        cohort = Cohort(
+            make_job(cpus=2, estimate=100.0, kind=JobKind.INTERSTITIAL), 6
+        )
+        cluster.start([cohort], 7.0)
+        piece = cohort.split(4)
+        cluster.split(cohort, piece)
+        assert cluster.running[piece.job_id] is piece
+        assert piece.start_time == cohort.start_time == 7.0
+        assert cluster.busy_cpus == 12
+        assert cluster.release_claims() == [(107.0, 2.0, 2), (107.0, 2.0, 4)]
+
+
 class TestOutageInteraction:
     def test_down_cpus_reduce_free(self, cluster):
         cluster.down_cpus = 60
@@ -78,6 +108,12 @@ class TestOutageInteraction:
         assert cluster.free_cpus == 0
 
 
+def _earliest(cluster, cpus, t):
+    """The scheduler's ``backfillWallTime`` walk for a ``cpus``-wide
+    head job over ``cluster``'s release claims."""
+    return fcfs_scheduler()._earliest_capacity(cpus, t, cluster)
+
+
 class TestEstimates:
     def test_release_claims_sorted_by_estimate(self, cluster):
         slow = make_job(cpus=1, runtime=10.0, estimate=500.0)
@@ -88,13 +124,13 @@ class TestEstimates:
         assert cluster.release_claims() == [(100.0, 2.0, 1), (500.0, 1.0, 1)]
 
     def test_earliest_fit_estimate_now(self, cluster):
-        assert cluster.earliest_fit_estimate(64, 5.0) == 5.0
+        assert _earliest(cluster, 64, 5.0) == 5.0
 
     def test_earliest_fit_estimate_waits_for_release(self, cluster):
         job = make_job(cpus=60, runtime=10.0, estimate=100.0)
         cluster.start([job], 0.0)
         # A 30-wide job must wait until the 60-wide job's estimated end.
-        assert cluster.earliest_fit_estimate(30, 5.0) == 100.0
+        assert _earliest(cluster, 30, 5.0) == 100.0
 
     def test_earliest_fit_estimate_accumulates(self, cluster):
         a = make_job(cpus=30, runtime=10.0, estimate=50.0)
@@ -102,13 +138,13 @@ class TestEstimates:
         cluster.start([a], 0.0)
         cluster.start([b], 0.0)
         # Needs both releases: 4 free + 30 + 30 >= 64.
-        assert cluster.earliest_fit_estimate(64, 0.0) == 80.0
+        assert _earliest(cluster, 64, 0.0) == 80.0
         # Needs only the first release: 4 + 30 >= 34.
-        assert cluster.earliest_fit_estimate(34, 0.0) == 50.0
+        assert _earliest(cluster, 34, 0.0) == 50.0
 
     def test_earliest_fit_estimate_infinite_under_outage(self, cluster):
         cluster.down_cpus = 60
-        assert math.isinf(cluster.earliest_fit_estimate(10, 0.0))
+        assert math.isinf(_earliest(cluster, 10, 0.0))
 
 
 class TestCohorts:
