@@ -18,11 +18,33 @@ memoization behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict
+from typing import Dict, TypeVar
+
+_R = TypeVar("_R", bound="_Registry")
+
+
+class _Registry:
+    """The shared contract of the counter registries below: integer
+    dataclass fields, additive :meth:`merge`, stable :meth:`as_dict`
+    order."""
+
+    def merge(self: _R, other: _R) -> _R:
+        """Add ``other``'s counts into this registry; returns self."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
+
+    def as_dict(self) -> Dict[str, int]:
+        """Field -> value mapping in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __bool__(self) -> bool:
+        """True when any counter is non-zero."""
+        return any(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
-class Counters:
+class Counters(_Registry):
     """Integer event counters for one simulation run (or a merged set).
 
     Attributes
@@ -45,7 +67,7 @@ class Counters:
         Fault-killed natives re-entering the queue (RESUBMIT events).
     preempt_kills:
         Interstitial jobs killed to seat a blocked native head job
-        (work wasted; the pre-elastic ``preemptions`` counter).
+        (work wasted).
     preempt_shrinks:
         Malleable interstitial jobs *shrunk* — CPUs released to a
         blocked native with the remaining runtime re-scaled, no work
@@ -105,30 +127,9 @@ class Counters:
     invariant_checks: int = 0
     cache_hits: int = 0
 
-    @property
-    def preemptions(self) -> int:
-        """Back-compat alias for the pre-split counter: preemptions
-        that *killed* work.  A property, not a field, so ``merge``/
-        ``as_dict`` aggregation stays un-doubled."""
-        return self.preempt_kills
-
-    def merge(self, other: "Counters") -> "Counters":
-        """Add ``other``'s counts into this registry; returns self."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-    def as_dict(self) -> Dict[str, int]:
-        """Field -> value mapping in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __bool__(self) -> bool:
-        """True when any counter is non-zero."""
-        return any(getattr(self, f.name) for f in fields(self))
-
 
 @dataclass
-class StoreCounters:
+class StoreCounters(_Registry):
     """Integer counters for one :class:`~repro.store.RunStore`.
 
     Same contract as :class:`Counters` — always on, additive
@@ -174,23 +175,9 @@ class StoreCounters:
     peer_gets: int = 0
     peer_puts: int = 0
 
-    def merge(self, other: "StoreCounters") -> "StoreCounters":
-        """Add ``other``'s counts into this registry; returns self."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-    def as_dict(self) -> Dict[str, int]:
-        """Field -> value mapping in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __bool__(self) -> bool:
-        """True when any counter is non-zero."""
-        return any(getattr(self, f.name) for f in fields(self))
-
 
 @dataclass
-class TenantCounters:
+class TenantCounters(_Registry):
     """Per-tenant request counters for the serving daemon's
     multi-tenant admission layer (:mod:`repro.service.tenancy`).
 
@@ -228,23 +215,9 @@ class TenantCounters:
     quota_rejections: int = 0
     failures: int = 0
 
-    def merge(self, other: "TenantCounters") -> "TenantCounters":
-        """Add ``other``'s counts into this registry; returns self."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-    def as_dict(self) -> Dict[str, int]:
-        """Field -> value mapping in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __bool__(self) -> bool:
-        """True when any counter is non-zero."""
-        return any(getattr(self, f.name) for f in fields(self))
-
 
 @dataclass
-class ServiceCounters:
+class ServiceCounters(_Registry):
     """Integer request counters for the serving daemon
     (:mod:`repro.service`), surfaced by its ``/metrics`` endpoint.
 
@@ -351,17 +324,3 @@ class ServiceCounters:
     quota_rejections: int = 0
     scale_ups: int = 0
     scale_downs: int = 0
-
-    def merge(self, other: "ServiceCounters") -> "ServiceCounters":
-        """Add ``other``'s counts into this registry; returns self."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
-    def as_dict(self) -> Dict[str, int]:
-        """Field -> value mapping in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __bool__(self) -> bool:
-        """True when any counter is non-zero."""
-        return any(getattr(self, f.name) for f in fields(self))

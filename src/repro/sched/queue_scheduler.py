@@ -148,12 +148,16 @@ class QueueScheduler(Scheduler):
         self._claims_cache: List[Tuple[float, float, int]] = []
         self._claims_key: Tuple[int, int] = (-1, -1)
         #: ``_earliest_capacity`` release-walk result, cached per
-        #: ``(cpus, epoch, predictor version)`` — within one epoch the
-        #: walk's outcome is a fixed release time, and only the final
-        #: ``max(t, ...)`` depends on the query instant.  Keeps the
-        #: per-pass ``backfillWallTime`` probe O(1) between allocation
-        #: changes (wake-heavy continual runs probe it constantly).
-        self._capacity_key: Optional[Tuple[int, int, int]] = None
+        #: ``(cpus, free CPUs, epoch, predictor version)`` — for one
+        #: starting free count and claim timeline the walk's outcome is
+        #: a fixed release time, and only the final ``max(t, ...)``
+        #: depends on the query instant.  A real cluster's free count
+        #: is fixed within an epoch; a composite source's budgeted view
+        #: lowers it without a new epoch, so it is part of the key.
+        #: Keeps the per-pass ``backfillWallTime`` probe O(1) between
+        #: allocation changes (wake-heavy continual runs probe it
+        #: constantly).
+        self._capacity_key: Optional[Tuple[int, int, int, int]] = None
         self._capacity_at: float = math.inf
         #: Snapshot of the last pass that started nothing:
         #: ``(t, cluster epoch, priority version, membership version,
@@ -449,15 +453,17 @@ class QueueScheduler(Scheduler):
     def _earliest_capacity(
         self, cpus: int, t: float, cluster: ClusterState
     ) -> float:
-        if cluster.fits_now(cpus):
+        free_now = cluster.free_cpus
+        if cpus <= free_now:
             return t
         key = (
             cpus,
+            free_now,
             cluster.epoch,
             -1 if self.predictor is None else self.predictor.version,
         )
         if self._capacity_key != key:
-            free = float(cluster.free_cpus)
+            free = float(free_now)
             capacity_at = math.inf
             for finish, released, count in self._release_claims(cluster):
                 # A run covers the need exactly when its last member

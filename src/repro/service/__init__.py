@@ -23,12 +23,7 @@ the failure semantics and §14 for the fleet.
 
 from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceConfig, SimulationService
-from repro.service.fleet import (
-    FleetConfig,
-    FleetMember,
-    LocalFleet,
-    LocalTransport,
-)
+from repro.service.fleet import FleetConfig, FleetMember, LocalFleet
 from repro.service.http import HttpFrontend, HttpPeerTransport
 from repro.service.metrics import LatencyStats, ServiceMetrics, percentile
 from repro.service.requests import (
@@ -62,7 +57,6 @@ __all__ = [
     "HashRing",
     "HttpPeerTransport",
     "LocalFleet",
-    "LocalTransport",
     "BULK",
     "DEFAULT_TENANT",
     "INTERACTIVE",

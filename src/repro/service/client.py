@@ -1,12 +1,13 @@
 """Thin HTTP client for the simulation service.
 
 :class:`ServiceClient` talks HTTP with :mod:`http.client` (stdlib).
-By default it keeps one **persistent keep-alive connection per
-thread** (thread-local, so one client instance is still safe to share
-across threads) and re-uses it across calls — the daemon's front end
-holds the socket open, which removes a TCP handshake from every
-request; ``bench_service.py`` measures the difference.  Pass
-``keep_alive=False`` to fall back to one connection per call.
+It keeps **one list of idle keep-alive connections**, as the fleet's
+peer transport does: a call takes an idle connection or opens one,
+and gives it back after a complete response, so one client instance
+is safe to share across threads and every thread's calls re-use
+sockets — the daemon's front end holds them open, which removes a TCP
+handshake from every request; ``bench_service.py`` measures the
+difference.  :meth:`ServiceClient.close` closes every idle connection.
 
 Because a long-lived socket can die between calls (daemon restart,
 idle timeout), idempotent calls **retry once** on reset-class errors
@@ -28,8 +29,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
@@ -58,11 +57,6 @@ class ServiceClient:
     ----------
     host, port, timeout:
         Daemon address and per-call socket timeout.
-    keep_alive:
-        Keep one persistent connection per thread (default).  When
-        False every call opens and closes its own connection — the
-        pre-keep-alive behavior, kept for measurement and for
-        pathological middleboxes.
     tenant:
         Tenant id this client submits as, sent as the
         ``X-Repro-Tenant`` header on every request.  ``None`` (the
@@ -77,22 +71,21 @@ class ServiceClient:
         port: int = 8765,
         timeout: float = 300.0,
         *,
-        keep_alive: bool = True,
         tenant: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.keep_alive = keep_alive
         self.tenant = tenant
-        self._local = threading.local()
+        self._idle: List[http.client.HTTPConnection] = []
 
     def close(self) -> None:
-        """Drop this thread's persistent connection (if any)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        """Close every idle connection, whichever thread opened it."""
+        try:
+            while True:
+                self._idle.pop().close()
+        except IndexError:
+            pass
 
     # ------------------------------------------------------------------
     def run(
@@ -119,25 +112,12 @@ class ServiceClient:
         self, requests: Sequence[Dict[str, Any]], max_workers: int = 8
     ) -> List[ServiceResponse]:
         """Submit many request payloads concurrently (thread-per-call,
-        order-preserving).  The pool's threads end with the call, so
-        the keep-alive connections they opened are closed before it
-        returns."""
-        opened: Dict[int, http.client.HTTPConnection] = {}
-
-        def run(kwargs: Dict[str, Any]) -> ServiceResponse:
-            try:
-                return self.run(**kwargs)
-            finally:
-                conn = getattr(self._local, "conn", None)
-                if conn is not None:
-                    opened[threading.get_ident()] = conn
-
+        order-preserving), then close the idle connections."""
         try:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(run, requests))
+                return list(pool.map(lambda kw: self.run(**kw), requests))
         finally:
-            for conn in opened.values():
-                conn.close()
+            self.close()
 
     def healthz(self) -> ServiceResponse:
         return self._call("GET", "/healthz")
@@ -170,16 +150,6 @@ class ServiceClient:
             time.sleep(interval)
 
     # ------------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's persistent connection, created on demand."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            self._local.conn = conn
-        return conn
-
     def _call(
         self,
         method: str,
@@ -192,50 +162,38 @@ class ServiceClient:
         headers = {"Content-Type": "application/json"} if payload else {}
         if self.tenant is not None:
             headers["X-Repro-Tenant"] = self.tenant
-        if not self.keep_alive:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            try:
-                return self._exchange(
-                    conn, method, path, payload, headers
-                )
-            finally:
-                conn.close()
-        # Persistent path: retry exactly once on a reset-class error
-        # (the socket died between calls, or the daemon restarted
-        # mid-request).  Submissions are idempotent — deterministic,
-        # content-addressed, cache-absorbed — so the retry is safe.
+        # Retry exactly once, on a fresh connection, after a
+        # reset-class error (the socket died between calls, or the
+        # daemon restarted mid-request).  Submissions are idempotent —
+        # deterministic, content-addressed, cache-absorbed — so the
+        # retry is safe.
         for attempt in (0, 1):
-            conn = self._connection()
             try:
-                return self._exchange(
-                    conn, method, path, payload, headers
+                conn = None if attempt else self._idle.pop()
+            except IndexError:
+                conn = None
+            if conn is None:
+                conn = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
                 )
-            except socket.timeout:
-                self.close()
-                raise
-            except _RESET_ERRORS:
-                self.close()
-                if attempt:
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+                raw = response.read()
+            except BaseException as exc:
+                conn.close()
+                if attempt or not isinstance(exc, _RESET_ERRORS):
                     raise
+                continue
+            # Only a connection whose response was read whole, and that
+            # the daemon keeps open, can carry the next call.
+            if response.will_close:
+                conn.close()
+            else:
+                self._idle.append(conn)
+            try:
+                decoded = json.loads(raw.decode("utf-8")) if raw else {}
+            except ValueError:
+                decoded = {"error": raw.decode("utf-8", "replace")}
+            return ServiceResponse(response.status, decoded)
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def _exchange(
-        self,
-        conn: http.client.HTTPConnection,
-        method: str,
-        path: str,
-        payload: Optional[bytes],
-        headers: Dict[str, str],
-    ) -> ServiceResponse:
-        conn.request(method, path, body=payload, headers=headers)
-        response = conn.getresponse()
-        raw = response.read()
-        try:
-            decoded = json.loads(raw.decode("utf-8")) if raw else {}
-        except ValueError:
-            decoded = {"error": raw.decode("utf-8", "replace")}
-        if response.will_close:
-            self.close()
-        return ServiceResponse(response.status, decoded)

@@ -77,7 +77,6 @@ from repro.service.resilience import (
     WorkerSupervisor,
 )
 from repro.service.tenancy import (
-    DEFAULT_TENANT_HALF_LIFE_S,
     TenantAdmission,
     TenantQuota,
     TenantTicket,
@@ -85,6 +84,10 @@ from repro.service.tenancy import (
 )
 from repro.store import RunStore, content_key
 from repro.version import repro_version
+
+#: Interactive overcommit bound: interactive requests are rejected once
+#: more than ``workers + MAX_BACKLOG`` dispatches are in flight.
+MAX_BACKLOG = 8
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,6 @@ class ServiceConfig:
     max_queue:
         Bulk queue bound; arrivals beyond it are rejected with
         backpressure.
-    max_backlog:
-        Interactive overcommit bound: interactive requests are
-        rejected once more than ``workers + max_backlog`` dispatches
-        are in flight.
     scale:
         Default :class:`ExperimentScale` for requests that name none.
     store_path:
@@ -137,20 +136,15 @@ class ServiceConfig:
         Optional per-tenant admission limits (max in-flight dispatches
         plus max bulk-queue share); ``None`` leaves tenants bounded
         only by fair-share scheduling.
-    tenant_half_life_s:
-        Fair-share usage half-life for tenant scheduling, in seconds.
     autoscale_min, autoscale_max:
         Worker-pool bounds for the cap-aware autoscaler.  Both set
         enables it (``workers`` is the starting size and must lie in
         the range); both ``None`` (default) keeps the pool fixed.
-    autoscale_interval:
-        Autoscaler control-loop tick period in seconds.
     """
 
     workers: int = 2
     bulk_cap: float = 0.9
     max_queue: int = 64
-    max_backlog: int = 8
     scale: Optional[ExperimentScale] = None
     store_path: Optional[str] = None
     check_invariants: bool = False
@@ -160,10 +154,8 @@ class ServiceConfig:
     heartbeat_interval: Optional[float] = None
     lease_timeout: Optional[float] = None
     tenant_quota: Optional[TenantQuota] = None
-    tenant_half_life_s: float = DEFAULT_TENANT_HALF_LIFE_S
     autoscale_min: Optional[int] = None
     autoscale_max: Optional[int] = None
-    autoscale_interval: float = 2.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -175,10 +167,6 @@ class ServiceConfig:
         if self.max_queue < 1:
             raise ConfigurationError(
                 f"max_queue must be >= 1: {self.max_queue}"
-            )
-        if self.max_backlog < 0:
-            raise ConfigurationError(
-                f"max_backlog must be >= 0: {self.max_backlog}"
             )
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ConfigurationError(
@@ -195,11 +183,6 @@ class ServiceConfig:
         if self.lease_timeout is not None and self.lease_timeout <= 0:
             raise ConfigurationError(
                 f"lease_timeout must be positive: {self.lease_timeout}"
-            )
-        if self.tenant_half_life_s <= 0:
-            raise ConfigurationError(
-                f"tenant_half_life_s must be positive: "
-                f"{self.tenant_half_life_s}"
             )
         if (self.autoscale_min is None) != (self.autoscale_max is None):
             raise ConfigurationError(
@@ -219,11 +202,6 @@ class ServiceConfig:
                     f"autoscale range "
                     f"{self.autoscale_min}:{self.autoscale_max}"
                 )
-        if self.autoscale_interval <= 0:
-            raise ConfigurationError(
-                f"autoscale_interval must be positive: "
-                f"{self.autoscale_interval}"
-            )
 
     def effective_scale(self) -> ExperimentScale:
         return self.scale if self.scale is not None else current_scale()
@@ -280,20 +258,14 @@ class SimulationService:
         self._admission_task: Optional[asyncio.Task] = None
         #: content key -> future resolving to ("ok", text) | ("error", msg)
         self._inflight: Dict[str, asyncio.Future] = {}
-        self.tenancy = TenantAdmission(
-            quota=config.tenant_quota,
-            half_life_s=config.tenant_half_life_s,
-        )
+        self.tenancy = TenantAdmission(quota=config.tenant_quota)
         #: The bulk backlog: per-tenant fair-share lanes of admission
         #: tickets (each ticket's item is a :class:`BulkWaiter`).
         self._bulk_queue = self.tenancy.queue
         self.autoscaler: Optional[WorkerAutoscaler] = None
         if config.autoscale_min is not None:
             self.autoscaler = WorkerAutoscaler(
-                self,
-                config.autoscale_min,
-                config.autoscale_max,
-                interval=config.autoscale_interval,
+                self, config.autoscale_min, config.autoscale_max
             )
         self._autoscale_task: Optional[asyncio.Task] = None
         self._replay_tasks: Set[asyncio.Task] = set()
@@ -903,7 +875,7 @@ class SimulationService:
                     f"tenant {tenant!r} at max in-flight "
                     f"({quota.max_inflight})",
                 )
-            if self._busy - self._workers < self.config.max_backlog:
+            if self._busy - self._workers < MAX_BACKLOG:
                 return None
             label = "interactive backlog full"
         retry_after = self._retry_after(

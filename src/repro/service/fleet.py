@@ -40,12 +40,14 @@ daemons:
   entries run through the thief's own service and are never stolen
   again.
 
-Two transports implement the peer protocol: :class:`LocalTransport`
-(direct coroutine calls, for the in-process fleets the tests, bench
-and CI smoke build) and
-:class:`~repro.service.http.HttpPeerTransport` (keep-alive
-connections to the peer's ``/fleet/*`` routes, framed by the same
-module as the front end).  The fleet logic cannot tell them apart.
+A peer is anything with the peer protocol's seven coroutines (``run``,
+``cache_get``, ``cache_put``, ``steal``, ``stolen``, ``metrics``,
+``membership``): another :class:`FleetMember` on the same event loop
+(the in-process fleets the tests, bench and CI smoke build), or an
+:class:`~repro.service.http.HttpPeerTransport` (keep-alive connections
+to the peer's ``/metrics`` and ``/fleet/*`` routes, whose handlers
+await those same member methods).  The fleet logic cannot tell them
+apart.
 
 See ``DESIGN.md`` §14 for the topology, join protocol, consistency
 model, steal policy and the counters a stolen entry increments.
@@ -75,9 +77,17 @@ from repro.service.requests import (
     ServiceResponse,
     SimRequest,
 )
-from repro.service.ring import DEFAULT_VNODES, HashRing
+from repro.service.ring import HashRing
 from repro.service.tenancy import TenantTicket
 from repro.store import PEER_MISS
+
+
+#: Most entries granted per steal request.
+STEAL_BATCH = 2
+
+#: Seconds a stolen entry may stay unreported before the victim
+#: requeues it locally.
+STEAL_TIMEOUT_S = 120.0
 
 
 @dataclass
@@ -92,36 +102,18 @@ class FleetConfig:
     coordinator:
         Whether this replica assigns ids and membership (the first
         boot).  Joined replicas refuse ``/fleet/join`` with a 409.
-    vnodes:
-        Virtual ring points per replica (see :class:`HashRing`).
-    steal_batch:
-        Most entries granted per steal request.
     steal_interval:
         Idle-poll period (seconds) of the steal loop.
-    steal_timeout:
-        Seconds a stolen entry may stay unreported before the victim
-        requeues it locally.
     """
 
     replica_id: str = "r0"
     coordinator: bool = True
-    vnodes: int = DEFAULT_VNODES
-    steal_batch: int = 2
     steal_interval: float = 0.05
-    steal_timeout: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.steal_batch < 1:
-            raise ConfigurationError(
-                f"steal_batch must be >= 1: {self.steal_batch}"
-            )
         if self.steal_interval <= 0:
             raise ConfigurationError(
                 f"steal_interval must be positive: {self.steal_interval}"
-            )
-        if self.steal_timeout <= 0:
-            raise ConfigurationError(
-                f"steal_timeout must be positive: {self.steal_timeout}"
             )
 
 
@@ -135,7 +127,9 @@ class FleetMember:
     :class:`SimulationService`.
 
     All coroutine methods must run on the service's event loop.  The
-    HTTP front end and the transports are the only callers.
+    peer protocol's coroutines (``run`` through ``membership``) are
+    what other members call on it, directly in process or through the
+    HTTP front end's ``/metrics`` and ``/fleet/*`` routes.
     """
 
     def __init__(
@@ -146,10 +140,9 @@ class FleetMember:
         self.service = service
         self.config = config or FleetConfig()
         self.replica_id = self.config.replica_id
-        self.ring = HashRing(
-            [self.replica_id], vnodes=self.config.vnodes
-        )
-        #: replica id -> transport (everyone but self).
+        self.ring = HashRing([self.replica_id])
+        #: replica id -> peer: a member or a transport (everyone but
+        #: self).
         self.peers: Dict[str, Any] = {}
         #: replica id -> (host, port) for members joined over HTTP.
         self._members: Dict[str, Tuple[str, int]] = {}
@@ -212,12 +205,6 @@ class FleetMember:
             if close is not None:
                 close()
 
-    async def close(self) -> None:
-        """begin_close + wait_idle + finish_close, in order."""
-        self.begin_close()
-        await self.wait_idle()
-        await self.finish_close()
-
     def _spawn(self, coro: Any) -> None:
         """Run ``coro`` as a task this member keeps a reference to."""
         task = self._loop.create_task(coro)
@@ -241,23 +228,12 @@ class FleetMember:
         self._advertise = (host, port)
         self._members[self.replica_id] = (host, port)
 
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """The service ``/metrics`` payload plus the fleet section."""
-        snap = self.service.metrics_snapshot()
-        snap["fleet"] = {
-            "replica_id": self.replica_id,
-            "replica_count": self.replica_count,
-            "replicas": self.ring.replicas,
-            "stolen_outstanding": len(self._stolen_out),
-        }
-        return snap
-
     async def fleet_metrics(self) -> Dict[str, Any]:
         """Fleet-aggregated metrics: every replica's snapshot plus
         summed service counters (transport failures surface as an
         ``error`` entry for that replica rather than failing the
         aggregation)."""
-        per: Dict[str, Any] = {self.replica_id: self.metrics_snapshot()}
+        per: Dict[str, Any] = {self.replica_id: await self.metrics()}
         for rid in sorted(self.peers):
             try:
                 per[rid] = await self.peers[rid].metrics()
@@ -293,18 +269,9 @@ class FleetMember:
         # The request travels whole, tenant included: the owner charges
         # the originating tenant (content keys exclude it).
         try:
-            status, payload = await self.peers[owner].run(asdict(request))
-            return ServiceResponse(status, payload)
+            return await self.peers[owner].run(request)
         except Exception:  # noqa: BLE001 - degraded: owner unreachable
             return await self._run_remote_owned(request, key, owner)
-
-    async def handle_routed(
-        self, request: SimRequest
-    ) -> ServiceResponse:
-        """A peer routed ``request`` here because we own its key.
-        Never re-forward (membership skew between two replicas must
-        not bounce a request around the ring)."""
-        return await self.service.submit(request)
 
     def _remote_owner(
         self, request: SimRequest
@@ -323,9 +290,15 @@ class FleetMember:
         return owner, key
 
     # ------------------------------------------------------------------
-    # Peer protocol handlers (called by transports / HTTP routes)
+    # Peer protocol (what other members call on this one)
     # ------------------------------------------------------------------
-    def handle_cache_get(self, key: str) -> Tuple[bool, Any]:
+    async def run(self, request: SimRequest) -> ServiceResponse:
+        """A peer routed ``request`` here because we own its key.
+        Never re-forward (membership skew between two replicas must
+        not bounce a request around the ring)."""
+        return await self.service.submit(request)
+
+    async def cache_get(self, key: str) -> Tuple[bool, Any]:
         """Serve a peer's cache lookup: ``(hit, value)``.  Only JSON
         textual products travel the wire; anything else (a worker's
         pickled simulation product sharing the store) reports a miss,
@@ -338,7 +311,7 @@ class FleetMember:
             return False, None
         return True, value
 
-    def handle_cache_put(self, key: str, value: str) -> None:
+    async def cache_put(self, key: str, value: str) -> None:
         """Accept a result replicated by the non-owner that computed
         it; raises :class:`ServiceError`, storing nothing, for a key
         that is not a content key."""
@@ -346,25 +319,23 @@ class FleetMember:
             raise ServiceError(f"not a content key: {key!r}")
         self.service.store.peer_put(key, value)
 
-    def handle_steal(
+    async def steal(
         self, thief: str, max_n: int
     ) -> List[Dict[str, Any]]:
-        """Grant ``thief`` up to ``max_n`` (at most ``steal_batch``)
+        """Grant ``thief`` up to ``max_n`` (at most :data:`STEAL_BATCH`)
         queued bulk tickets: the stealable ones the fair queue would
         dispatch last.  Each waits in ``_stolen_out`` under a
-        ``steal_timeout`` deadline while its waiter waits for the
+        :data:`STEAL_TIMEOUT_S` deadline while its waiter waits for the
         thief's report."""
         if self._closing or self.service.draining:
             return []
         tickets = self.service.tenancy.queue.steal(
-            min(max_n, self.config.steal_batch), self._stealable
+            min(max_n, STEAL_BATCH), self._stealable
         )
         for ticket in tickets:
             self._stolen_out[ticket.seq] = ticket
             self._steal_timers[ticket.seq] = self._loop.call_later(
-                self.config.steal_timeout,
-                self._steal_deadline,
-                ticket.seq,
+                STEAL_TIMEOUT_S, self._steal_deadline, ticket.seq
             )
         self.counters.steals_granted += len(tickets)
         return [
@@ -376,7 +347,7 @@ class FleetMember:
         """Stolen-in entries are never granted onward (no ping-pong)."""
         return ticket.item.key not in self._stolen_in
 
-    def handle_stolen(
+    async def stolen(
         self, entry_id: int, status: int, payload: Dict[str, Any]
     ) -> None:
         """A thief reports the outcome of a stolen ticket; its waiter
@@ -391,7 +362,7 @@ class FleetMember:
             return
         if status in (429, 503):
             self.counters.steal_requeues += 1
-            self._spawn(self.service.requeue_bulk(ticket))
+            await self.service.requeue_bulk(ticket)
         elif not ticket.item.future.done():
             ticket.item.future.set_result(
                 ServiceResponse(status, payload)
@@ -402,7 +373,44 @@ class FleetMember:
         refused the work.  Safe even if the thief later completes — its
         late report finds nothing to settle, and any duplicate compute
         is deterministic and cache-absorbed."""
-        self.handle_stolen(entry_id, 503, {})
+        self._spawn(self.stolen(entry_id, 503, {}))
+
+    async def metrics(self) -> Dict[str, Any]:
+        """The service ``/metrics`` payload plus the fleet section."""
+        snap = self.service.metrics_snapshot()
+        snap["fleet"] = {
+            "replica_id": self.replica_id,
+            "replica_count": self.replica_count,
+            "replicas": self.ring.replicas,
+            "stolen_outstanding": len(self._stolen_out),
+        }
+        return snap
+
+    async def membership(
+        self, members: Sequence[Dict[str, Any]]
+    ) -> None:
+        """Adopt a membership broadcast: wire transports and ring
+        points for members we have not met (append-only: the fleet
+        has no leave protocol; see DESIGN §14).  Raises
+        :class:`ServiceError`, adopting none of it, unless ``members``
+        is a list of ``{"id": str, "host": str, "port": int}``."""
+        if not isinstance(members, list) or not all(
+            isinstance(rec, dict)
+            and isinstance(rec.get("id"), str)
+            and isinstance(rec.get("host"), str)
+            and type(rec.get("port")) is int
+            for rec in members
+        ):
+            raise ServiceError(
+                "'members' must be a list of {id, host, port} records"
+            )
+        for rec in members:
+            rid = rec["id"]
+            self._members[rid] = (rec["host"], rec["port"])
+            if rid == self.replica_id or rid in self.peers:
+                continue
+            self.peers[rid] = HttpPeerTransport(rec["host"], rec["port"])
+            self.ring.add(rid)
 
     # ------------------------------------------------------------------
     # Membership / join protocol
@@ -445,32 +453,6 @@ class FleetMember:
         except Exception:  # noqa: BLE001 - peers catch up on next push
             pass
 
-    def handle_membership(
-        self, members: Sequence[Dict[str, Any]]
-    ) -> None:
-        """Adopt a membership broadcast: wire transports and ring
-        points for members we have not met (append-only: the fleet
-        has no leave protocol; see DESIGN §14).  Raises
-        :class:`ServiceError`, adopting none of it, unless ``members``
-        is a list of ``{"id": str, "host": str, "port": int}``."""
-        if not isinstance(members, list) or not all(
-            isinstance(rec, dict)
-            and isinstance(rec.get("id"), str)
-            and isinstance(rec.get("host"), str)
-            and type(rec.get("port")) is int
-            for rec in members
-        ):
-            raise ServiceError(
-                "'members' must be a list of {id, host, port} records"
-            )
-        for rec in members:
-            rid = rec["id"]
-            self._members[rid] = (rec["host"], rec["port"])
-            if rid == self.replica_id or rid in self.peers:
-                continue
-            self.peers[rid] = HttpPeerTransport(rec["host"], rec["port"])
-            self.ring.add(rid)
-
     async def join(self, host: str, port: int) -> Dict[str, Any]:
         """Replica-side join: register with the coordinator at
         ``host:port``, adopt the assigned id and the member list."""
@@ -488,9 +470,8 @@ class FleetMember:
         self.replica_id = reply["id"]
         self._members.pop(old_id, None)
         self.set_advertise(*self._advertise)
-        self.ring = HashRing(vnodes=self.config.vnodes)
-        self.ring.add(self.replica_id)
-        self.handle_membership(reply["members"])
+        self.ring = HashRing([self.replica_id])
+        await self.membership(reply["members"])
         return reply
 
     # ------------------------------------------------------------------
@@ -528,7 +509,7 @@ class FleetMember:
                 victim = peer_ids[(rotation + offset) % len(peer_ids)]
                 try:
                     grants = await self.peers[victim].steal(
-                        self.replica_id, self.config.steal_batch
+                        self.replica_id, STEAL_BATCH
                     )
                 except Exception:  # noqa: BLE001 - victim unreachable
                     continue
@@ -616,49 +597,6 @@ class FleetMember:
 
 
 # ----------------------------------------------------------------------
-# Transports
-# ----------------------------------------------------------------------
-class LocalTransport:
-    """Peer transport for in-process fleets: direct coroutine calls
-    into another :class:`FleetMember` on the same event loop."""
-
-    def __init__(self, member: FleetMember) -> None:
-        self._member = member
-
-    async def run(
-        self, payload: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
-        response = await self._member.handle_routed(
-            SimRequest.from_payload(payload)
-        )
-        return response.status, response.payload
-
-    async def cache_get(self, key: str) -> Tuple[bool, Any]:
-        return self._member.handle_cache_get(key)
-
-    async def cache_put(self, key: str, value: str) -> None:
-        self._member.handle_cache_put(key, value)
-
-    async def steal(
-        self, thief: str, max_n: int
-    ) -> List[Dict[str, Any]]:
-        return self._member.handle_steal(thief, max_n)
-
-    async def stolen(
-        self, entry_id: int, status: int, payload: Dict[str, Any]
-    ) -> None:
-        self._member.handle_stolen(entry_id, status, payload)
-
-    async def metrics(self) -> Dict[str, Any]:
-        return self._member.metrics_snapshot()
-
-    async def membership(
-        self, members: Sequence[Dict[str, Any]]
-    ) -> None:
-        self._member.handle_membership(members)
-
-
-# ----------------------------------------------------------------------
 # In-process fleet harness
 # ----------------------------------------------------------------------
 class LocalFleet:
@@ -667,7 +605,7 @@ class LocalFleet:
     The harness the fleet tests, the service, resilience and fleet
     benches and the CI smoke demo share: N independent :class:`SimulationService` instances
     (each with its own store — that separation is what makes peer
-    caching observable), fully meshed over :class:`LocalTransport`,
+    caching observable), each member the other members' peer,
     driven synchronously from a private event-loop thread.
     ``LocalFleet(1)`` is one daemon without sockets.
 
@@ -711,7 +649,7 @@ class LocalFleet:
             for other in self.members:
                 if other is member:
                     continue
-                member.peers[other.replica_id] = LocalTransport(other)
+                member.peers[other.replica_id] = other
                 member.ring.add(other.replica_id)
 
     # ------------------------------------------------------------------
@@ -776,7 +714,7 @@ class LocalFleet:
         return [future.result() for future in futures]
 
     def metrics(self, via: int = 0) -> Dict[str, Any]:
-        return self.members[via].metrics_snapshot()
+        return self._await(self.members[via].metrics())
 
     def fleet_metrics(self) -> Dict[str, Any]:
         return self._await(self.coordinator.fleet_metrics())
@@ -793,5 +731,4 @@ __all__ = [
     "FleetConfig",
     "FleetMember",
     "LocalFleet",
-    "LocalTransport",
 ]

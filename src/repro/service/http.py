@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import asdict
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -204,10 +205,10 @@ class HttpFrontend:
             if path == "/healthz":
                 return ServiceResponse(200, member.service.healthz())
             if path == "/metrics":
-                return ServiceResponse(200, member.metrics_snapshot())
+                return ServiceResponse(200, await member.metrics())
             return ServiceResponse(200, await member.fleet_metrics())
         if path.startswith("/fleet/cache/"):
-            return self._route_cache(
+            return await self._route_cache(
                 method, path[len("/fleet/cache/"):], body
             )
         if path not in _POST_ROUTES:
@@ -222,7 +223,7 @@ class HttpFrontend:
                 return request
             if path == "/run":
                 return await member.submit(request)
-            return await member.handle_routed(request)
+            return await member.run(request)
         payload = _parse_json(body)
         if isinstance(payload, ServiceResponse):
             return payload
@@ -233,7 +234,7 @@ class HttpFrontend:
                 return _error(
                     400, "steal needs 'thief' (str) and 'max_n' (int)"
                 )
-            entries = member.handle_steal(thief, max_n)
+            entries = await member.steal(thief, max_n)
             return ServiceResponse(
                 200, {"status": "ok", "entries": entries}
             )
@@ -256,7 +257,7 @@ class HttpFrontend:
                     "(int) and a 'payload' object, with a 'result' "
                     "string on success",
                 )
-            member.handle_stolen(entry_id, status, report)
+            await member.stolen(entry_id, status, report)
             return ServiceResponse(200, {"status": "ok"})
         if path == "/fleet/join":
             host = payload.get("host")
@@ -270,16 +271,16 @@ class HttpFrontend:
             except ServiceError as exc:
                 return _error(409, str(exc))
         try:  # /fleet/membership
-            member.handle_membership(payload.get("members"))
+            await member.membership(payload.get("members"))
         except ServiceError as exc:
             return _error(400, str(exc))
         return ServiceResponse(200, {"status": "ok"})
 
-    def _route_cache(
+    async def _route_cache(
         self, method: str, key: str, body: bytes
     ) -> ServiceResponse:
         if method == "GET":
-            hit, value = self.member.handle_cache_get(key)
+            hit, value = await self.member.cache_get(key)
             if not hit:
                 return ServiceResponse(404, {"status": "miss", "key": key})
             return ServiceResponse(
@@ -294,7 +295,7 @@ class HttpFrontend:
         if not isinstance(value, str):
             return _error(400, "'value' must be a string")
         try:
-            self.member.handle_cache_put(key, value)
+            await self.member.cache_put(key, value)
         except ServiceError as exc:
             return _error(400, str(exc))
         return ServiceResponse(200, {"status": "ok"})
@@ -302,7 +303,8 @@ class HttpFrontend:
 
 class HttpPeerTransport:
     """Peer transport over keep-alive HTTP connections to one peer's
-    ``/fleet/*`` routes.
+    ``/metrics`` and ``/fleet/*`` routes: the remote form of a
+    :class:`~repro.service.fleet.FleetMember`'s peer protocol.
 
     Each RPC takes an idle connection, or opens one, and gives it back
     after a complete response, so RPCs to one peer run concurrently: a
@@ -322,10 +324,10 @@ class HttpPeerTransport:
         ] = []
 
     # ------------------------------------------------------------------
-    async def run(
-        self, payload: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
-        return await self._request("POST", "/fleet/run", payload)
+    async def run(self, request: SimRequest) -> ServiceResponse:
+        return ServiceResponse(*await self._request(
+            "POST", "/fleet/run", asdict(request)
+        ))
 
     async def cache_get(self, key: str) -> Tuple[bool, Any]:
         status, payload = await self._request(

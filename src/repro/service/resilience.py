@@ -61,6 +61,10 @@ FAILED = "failed"
 DEAD_LETTERED = "dead_lettered"
 OUTCOMES = (COMPLETED, FAILED, DEAD_LETTERED)
 
+#: A journal rewrites its log, keeping only open entries, once this
+#: many settles have accumulated since the last compaction.
+COMPACT_EVERY = 512
+
 
 def _ping() -> int:  # pragma: no cover - trivial, runs in workers
     """Heartbeat probe dispatched to the pool (picklable, instant)."""
@@ -85,30 +89,18 @@ class BulkJournal:
     tenant, which makes default-tenant records byte-identical to the
     pre-tenancy (v1) grammar; recovery of a v1 journal simply reads
     the missing field as "default tenant", so attribution survives a
-    crash in both directions.
+    crash in both directions.  The log self-compacts every
+    :data:`COMPACT_EVERY` settles.
 
     Parameters
     ----------
     path:
         Journal file location (parent directories are created).
-    compact_every:
-        Rewrite the log keeping only open entries once this many
-        settles have accumulated since the last compaction.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        compact_every: int = 512,
-    ) -> None:
-        if compact_every < 1:
-            raise ServiceError(
-                f"compact_every must be >= 1: {compact_every}"
-            )
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.compact_every = compact_every
         self._fh: Optional[Any] = None
         self._open: Dict[int, Dict[str, Any]] = {}
         self._next_id = 1
@@ -206,7 +198,7 @@ class BulkJournal:
         self._append({"rec": "settle", "id": entry_id, "outcome": outcome})
         del self._open[entry_id]
         self._settled_since_compact += 1
-        if self._settled_since_compact >= self.compact_every:
+        if self._settled_since_compact >= COMPACT_EVERY:
             self.compact()
 
     def sync(self) -> None:
@@ -380,11 +372,6 @@ class WorkerSupervisor:
     def generation(self) -> int:
         """Pool incarnation number (starts at 0, +1 per replacement)."""
         return self._generation
-
-    @property
-    def active(self) -> int:
-        """Dispatches currently in flight."""
-        return self._active
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()

@@ -26,9 +26,9 @@ paper's scheduling machinery on the request path itself:
   to *capacity*: when queued bulk work is blocked by the utilization
   cap, grow the supervised pool (up to a ceiling); when the pool sits
   under-utilized with an empty backlog, shrink it back (down to a
-  floor).  Both transitions require ``patience`` consecutive
-  observations, the same hysteresis the paper's continual mode uses to
-  avoid thrashing on transient load.
+  floor).  Both transitions require :data:`AUTOSCALE_PATIENCE`
+  consecutive observations, the same hysteresis the paper's continual
+  mode uses to avoid thrashing on transient load.
 
 Everything here is sans-IO and deterministic under an injected clock;
 the asyncio daemon owns the events and tasks.  Tenant ids never enter
@@ -43,7 +43,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sched.fairshare import FairShareTracker
@@ -61,6 +61,16 @@ DEFAULT_TENANT_HALF_LIFE_S = 300.0
 #: day.  A tenant over-served by the whole factor range catches back up
 #: after this long at the head of its lane, bounding worst-case delay.
 DEFAULT_WAIT_NORM_S = 300.0
+
+#: Autoscaler control-loop tick period, in seconds.
+AUTOSCALE_INTERVAL_S = 2.0
+
+#: Consecutive qualifying autoscaler ticks before a grow or a shrink.
+AUTOSCALE_PATIENCE = 2
+
+#: The autoscaler shrinks once utilization falls to this fraction of the
+#: bulk cap (with an empty backlog).
+AUTOSCALE_SHRINK_UTIL = 0.5
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,7 @@ class TenantFairQueue:
     itself).  Across tenants, :meth:`pop` picks the lane whose head
     maximizes::
 
-        score = tracker.factor(tenant, now) + waited / wait_norm_s
+        score = tracker.factor(tenant, now) + waited / DEFAULT_WAIT_NORM_S
 
     with ties broken by arrival sequence (earliest first) — the exact
     shape of :class:`~repro.sched.priority.PriorityPolicy.score` with
@@ -163,15 +173,9 @@ class TenantFairQueue:
         self,
         tracker: FairShareTracker,
         *,
-        wait_norm_s: float = DEFAULT_WAIT_NORM_S,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if wait_norm_s <= 0:
-            raise ConfigurationError(
-                f"wait_norm_s must be positive: {wait_norm_s}"
-            )
         self.tracker = tracker
-        self.wait_norm_s = wait_norm_s
         self._clock = clock
         self._lanes: Dict[str, Deque[TenantTicket]] = {}
         self._seq = 0
@@ -184,10 +188,6 @@ class TenantFairQueue:
         """Queued tickets for one tenant."""
         lane = self._lanes.get(tenant)
         return len(lane) if lane else 0
-
-    def tenants(self) -> Iterable[str]:
-        """Tenants with at least one queued ticket."""
-        return [t for t, lane in self._lanes.items() if lane]
 
     def push(self, tenant: str, item: object) -> TenantTicket:
         """Append ``item`` to ``tenant``'s lane; returns its ticket."""
@@ -206,7 +206,7 @@ class TenantFairQueue:
         waited = max(0.0, now - ticket.enqueued_at)
         return (
             self.tracker.factor(ticket.tenant, now)
-            + waited / self.wait_norm_s
+            + waited / DEFAULT_WAIT_NORM_S
         )
 
     def _pop_key(self, ticket: TenantTicket, now: float):
@@ -291,19 +291,14 @@ class TenantAdmission:
         self,
         *,
         quota: Optional[TenantQuota] = None,
-        half_life_s: float = DEFAULT_TENANT_HALF_LIFE_S,
-        wait_norm_s: float = DEFAULT_WAIT_NORM_S,
-        shares: Optional[Dict[str, float]] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.quota = quota
         self.tracker = FairShareTracker(
-            half_life_s=half_life_s, shares=shares
+            half_life_s=DEFAULT_TENANT_HALF_LIFE_S
         )
         self.predictor = PerUserRuntimePredictor()
-        self.queue = TenantFairQueue(
-            self.tracker, wait_norm_s=wait_norm_s, clock=clock
-        )
+        self.queue = TenantFairQueue(self.tracker, clock=clock)
         self._clock = clock
         self._inflight: Dict[str, int] = {}
 
@@ -375,14 +370,15 @@ class WorkerAutoscaler:
       *absolute* bulk throughput rises without loosening the cap
       itself — interactive headroom scales with the pool.
     * **shrink** when the backlog is empty and utilization has fallen
-      to ``shrink_util`` of the cap or below: drop one worker, down to
-      ``minimum``.
+      to :data:`AUTOSCALE_SHRINK_UTIL` of the cap or below: drop one
+      worker, down to ``minimum``.
 
-    Both transitions require ``patience`` consecutive qualifying ticks
-    (hysteresis against transient bursts).  :meth:`tick` is pure
-    decision logic over the service's public signals, so tests drive
-    it synchronously; the daemon runs :meth:`run` as a background task
-    that ticks every ``interval`` seconds.
+    Both transitions require :data:`AUTOSCALE_PATIENCE` consecutive
+    qualifying ticks (hysteresis against transient bursts).
+    :meth:`tick` is pure decision logic over the service's public
+    signals, so tests drive it synchronously; the daemon runs
+    :meth:`run` as a background task that ticks every
+    :data:`AUTOSCALE_INTERVAL_S` seconds.
     """
 
     def __init__(
@@ -390,10 +386,6 @@ class WorkerAutoscaler:
         service: "object",
         minimum: int,
         maximum: int,
-        *,
-        interval: float = 2.0,
-        patience: int = 2,
-        shrink_util: float = 0.5,
     ) -> None:
         if minimum < 1:
             raise ConfigurationError(
@@ -404,24 +396,9 @@ class WorkerAutoscaler:
                 f"autoscale maximum must be >= minimum: "
                 f"{maximum} < {minimum}"
             )
-        if interval <= 0:
-            raise ConfigurationError(
-                f"autoscale interval must be positive: {interval}"
-            )
-        if patience < 1:
-            raise ConfigurationError(
-                f"autoscale patience must be >= 1: {patience}"
-            )
-        if not (0.0 <= shrink_util < 1.0):
-            raise ConfigurationError(
-                f"autoscale shrink_util must be in [0, 1): {shrink_util}"
-            )
         self.service = service
         self.minimum = minimum
         self.maximum = maximum
-        self.interval = interval
-        self.patience = patience
-        self.shrink_util = shrink_util
         self._grow_streak = 0
         self._shrink_streak = 0
 
@@ -436,19 +413,19 @@ class WorkerAutoscaler:
         idle = (
             service.bulk_queue_depth() == 0
             and service.utilization()
-            <= self.shrink_util * service.config.bulk_cap + 1e-9
+            <= AUTOSCALE_SHRINK_UTIL * service.config.bulk_cap + 1e-9
         )
         if blocked and workers < self.maximum:
             self._grow_streak += 1
             self._shrink_streak = 0
-            if self._grow_streak >= self.patience:
+            if self._grow_streak >= AUTOSCALE_PATIENCE:
                 self._grow_streak = 0
                 return 1
             return 0
         if idle and workers > self.minimum:
             self._shrink_streak += 1
             self._grow_streak = 0
-            if self._shrink_streak >= self.patience:
+            if self._shrink_streak >= AUTOSCALE_PATIENCE:
                 self._shrink_streak = 0
                 return -1
             return 0
@@ -465,8 +442,8 @@ class WorkerAutoscaler:
         return delta
 
     async def run(self) -> None:
-        """Tick forever every ``interval`` seconds (daemon task;
-        cancelled on service stop)."""
+        """Tick forever every :data:`AUTOSCALE_INTERVAL_S` seconds
+        (daemon task; cancelled on service stop)."""
         while True:
-            await asyncio.sleep(self.interval)
+            await asyncio.sleep(AUTOSCALE_INTERVAL_S)
             await self.tick()

@@ -26,8 +26,8 @@ truncated entry (bit rot, a torn write surviving a crash, a partial
 copy) is *quarantined* — moved into a ``corrupt/`` subdirectory and
 counted — instead of crashing the reader or silently serving garbage;
 the lookup then reports a miss and determinism makes recomputation
-safe.  Entries written by older versions (no digest header) are still
-readable.
+safe.  A file without the digest header fails the check like any
+other, so no pickle is loaded unverified.
 
 Disk-backed stores additionally coordinate *computation* across
 processes: on a miss, ``get_or_compute`` takes a per-key ownership
@@ -406,22 +406,19 @@ class RunStore:
             data = file.read_bytes()
         except OSError:
             return _MISS
-        if data.startswith(_ENTRY_MAGIC):
-            # v2 entry: "<magic><64-hex digest>\n<pickled payload>".
-            header_end = len(_ENTRY_MAGIC) + 65
-            digest = data[len(_ENTRY_MAGIC):header_end - 1]
-            payload = data[header_end:]
-            if (
-                len(data) < header_end
-                or data[header_end - 1:header_end] != b"\n"
-                or hashlib.sha256(payload).hexdigest().encode("ascii")
-                != digest
-            ):
-                self._quarantine(file)
-                return _MISS
-        else:
-            # Legacy (pre-integrity) entry: the whole file is pickle.
-            payload = data
+        # "<magic><64-hex digest>\n<pickled payload>".
+        header_end = len(_ENTRY_MAGIC) + 65
+        digest = data[len(_ENTRY_MAGIC):header_end - 1]
+        payload = data[header_end:]
+        if (
+            not data.startswith(_ENTRY_MAGIC)
+            or len(data) < header_end
+            or data[header_end - 1:header_end] != b"\n"
+            or hashlib.sha256(payload).hexdigest().encode("ascii")
+            != digest
+        ):
+            self._quarantine(file)
+            return _MISS
         try:
             return pickle.loads(payload)
         except Exception:  # noqa: BLE001 - any undecodable entry is corrupt

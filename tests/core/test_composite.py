@@ -8,7 +8,7 @@ from repro.core.runners import run_with_controller
 from repro.errors import ConfigurationError
 from repro.jobs import InterstitialProject
 from repro.machines import Machine
-from repro.sched import fcfs_scheduler
+from repro.sched import FcfsPolicy, ReferenceQueueScheduler, fcfs_scheduler
 from repro.sim.state import ClusterState
 
 from tests.conftest import make_job, random_native_trace
@@ -48,6 +48,29 @@ class TestBudgetedView:
         cluster = ClusterState(machine)
         view = _BudgetedView(cluster, granted_cpus=32)
         assert view.instantaneous_utilization == 0.5
+
+    def test_backfill_wall_follows_each_view(self, machine):
+        """Each child's view has fewer free CPUs in the same epoch, so
+        its ``backfillWallTime`` may be later than its sibling's: with
+        14 CPUs free and 30 released at 100 s, a 40-CPU head fits at
+        100 s, but with 8 of the 14 granted it waits for the 20 CPUs
+        released at 500 s.  Both schedulers must agree on every
+        view."""
+        cluster = ClusterState(machine)
+        cluster.start([make_job(cpus=30, runtime=100.0),
+                       make_job(cpus=20, runtime=500.0)], 0.0)
+        assert cluster.free_cpus == 14
+        walls = []
+        for scheduler in (fcfs_scheduler(),
+                          ReferenceQueueScheduler(policy=FcfsPolicy())):
+            scheduler.submit(make_job(cpus=40), 0.0)
+            walls.append([
+                scheduler.head_start_estimate(
+                    0.0, _BudgetedView(cluster, granted_cpus=granted)
+                )
+                for granted in (0, 8)
+            ])
+        assert walls == [[100.0, 500.0], [100.0, 500.0]]
 
 
 class TestCompositeValidation:

@@ -148,8 +148,6 @@ def test_counters_and_controller_tallies(handcomputed) -> None:
     assert counters.molded_starts == 2
     assert controller.n_shrunk == 2
     assert controller.n_grown == 2
-    # Back-compat alias tracks the kill counter, not the shrinks.
-    assert counters.preemptions == counters.preempt_kills == 0
 
 
 def test_shrink_and_grow_records(handcomputed) -> None:

@@ -1,31 +1,15 @@
 """The preemption counter split: kills vs shrinks stay distinguishable.
 
-``preemptions`` historically counted killed interstitial jobs; elastic
-shrinks reclaim CPUs without wasting work, so the counter is split into
-``preempt_kills`` and ``preempt_shrinks``.  The old name survives as a
-read-only alias for the kill count, and both split fields must ride
-through ``merge`` like any other counter.
+Elastic shrinks reclaim CPUs without wasting work, so preemptions are
+counted as ``preempt_kills`` and ``preempt_shrinks``, and both split
+fields must ride through ``merge`` like any other counter.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.obs import Counters
-
-
-def test_preemptions_aliases_kills() -> None:
-    counters = Counters(preempt_kills=3, preempt_shrinks=7)
-    assert counters.preemptions == 3
-    # Shrinks never leak into the historical kill count.
-    assert Counters(preempt_shrinks=5).preemptions == 0
-
-
-def test_preemptions_alias_is_read_only() -> None:
-    with pytest.raises(AttributeError):
-        Counters().preemptions = 4  # type: ignore[misc]
 
 
 def test_merge_adds_split_fields() -> None:
@@ -38,13 +22,13 @@ def test_merge_adds_split_fields() -> None:
     assert merged.preempt_shrinks == 22
     assert merged.grows == 33
     assert merged.molded_starts == 44
-    assert merged.preemptions == 11
 
 
 def test_alias_is_not_a_field() -> None:
-    """The property must stay off the dataclass fields, or fields()-based
-    merging would double-count it."""
+    """The pre-split ``preemptions`` name is gone: neither a field,
+    which fields()-based merging would double-count, nor an alias."""
     names = {f.name for f in dataclasses.fields(Counters)}
     assert "preemptions" not in names
+    assert not hasattr(Counters(), "preemptions")
     assert {"preempt_kills", "preempt_shrinks", "grows",
             "molded_starts"} <= names

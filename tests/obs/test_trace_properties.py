@@ -126,14 +126,14 @@ def test_counters_reconcile_with_result(seed: int) -> None:
     # Counters vs. SimResult aggregates.
     assert c.finishes == len(result.finished)
     assert c.failures == result.n_failures
-    assert c.fault_kills + c.preemptions == len(result.killed)
+    assert c.fault_kills + c.preempt_kills == len(result.killed)
     assert c.fault_kills >= sum(result.attempts.values())
     # Runs here are never truncated: every start terminates exactly once.
     still_running = sum(
         1 for job in result.unfinished if job.state is JobState.RUNNING
     )
     assert still_running == 0
-    assert c.starts == c.finishes + c.fault_kills + c.preemptions
+    assert c.starts == c.finishes + c.fault_kills + c.preempt_kills
     assert c.events >= c.submits + c.finishes + c.failures + c.repairs
     assert c.scheduling_passes > 0
 
@@ -147,7 +147,7 @@ def test_counters_reconcile_with_result(seed: int) -> None:
     assert by_kind["start"] == c.starts
     assert by_kind["finish"] == c.finishes
     assert by_kind["kill"] == c.fault_kills
-    assert by_kind["preempt"] == c.preemptions
+    assert by_kind["preempt"] == c.preempt_kills
     assert by_kind["requeue"] == c.requeues
     assert by_kind["failure"] == c.failures
     assert by_kind["repair"] == c.repairs

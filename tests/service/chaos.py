@@ -417,7 +417,9 @@ def run_sigkill(seed: int) -> Dict[str, Any]:
         daemon = _spawn_daemon(port, store, journal)
         killed_at: Optional[int] = None
         try:
-            ServiceClient(port=port).wait_until_healthy(timeout=60.0)
+            probe = ServiceClient(port=port)
+            probe.wait_until_healthy(timeout=60.0)
+            probe.close()
             _submit_in_background(port, SIGKILL_JOBS)
             # Kill between journal append and completion: as soon as
             # the WAL shows the planned number of durable accepts.
@@ -446,8 +448,9 @@ def run_sigkill(seed: int) -> Dict[str, Any]:
         # Restart on a fresh port; the journal must drive recovery.
         port2 = _free_port()
         daemon2 = _spawn_daemon(port2, store, journal)
+        probe = ServiceClient(port=port2)
         try:
-            ServiceClient(port=port2).wait_until_healthy(timeout=60.0)
+            probe.wait_until_healthy(timeout=60.0)
 
             def backlog_settled() -> bool:
                 accepts, settles, _torn = BulkJournal.read(journal)
@@ -462,7 +465,7 @@ def run_sigkill(seed: int) -> Dict[str, Any]:
             # accounting the recovery daemon built can only name the
             # round's two tenants (cached replays settle without
             # counters, so subset — never a stranger, never "default").
-            recovered = ServiceClient(port=port2).metrics().payload
+            recovered = probe.metrics().payload
             recovered_tenants = set(recovered.get("tenants", {}))
             assert recovered_tenants <= set(SIGKILL_TENANTS), (
                 f"replay misattributed tenants: {recovered_tenants}"
@@ -470,6 +473,7 @@ def run_sigkill(seed: int) -> Dict[str, Any]:
             daemon2.send_signal(signal.SIGTERM)
             assert daemon2.wait(timeout=60.0) == 0, "unclean drain"
         finally:
+            probe.close()
             if daemon2.poll() is None:  # pragma: no cover - cleanup
                 _kill_group(daemon2)
                 daemon2.wait(timeout=30.0)

@@ -56,7 +56,6 @@ def make_service(
     workers=2,
     bulk_cap=0.9,
     max_queue=64,
-    max_backlog=8,
     worker_fn=None,
     store_path=None,
 ):
@@ -65,7 +64,6 @@ def make_service(
         workers=workers,
         bulk_cap=bulk_cap,
         max_queue=max_queue,
-        max_backlog=max_backlog,
         scale=SCALES["quick"],
         store_path=store_path,
     )

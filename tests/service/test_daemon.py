@@ -14,6 +14,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.config import SCALES
 from repro.service import ServiceConfig, SimRequest, SimulationService
+from repro.service import daemon
 from tests.service.conftest import (
     GatedWorker,
     make_service,
@@ -31,8 +32,6 @@ class TestConfig:
             ServiceConfig(bulk_cap=1.5)
         with pytest.raises(ConfigurationError):
             ServiceConfig(max_queue=0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(max_backlog=-1)
 
     def test_effective_scale_default(self):
         assert ServiceConfig().effective_scale().name in (
@@ -308,10 +307,11 @@ class TestBackpressure:
         assert [r.status for r in responses] == [200, 200]
         assert service.metrics.counters.rejections == 1
 
-    def test_interactive_backlog_bounded(self, gated):
+    def test_interactive_backlog_bounded(self, gated, monkeypatch):
+        monkeypatch.setattr(daemon, "MAX_BACKLOG", 0)
+
         async def scenario():
-            service = make_service(workers=1, max_backlog=0,
-                                   worker_fn=gated)
+            service = make_service(workers=1, worker_fn=gated)
             await service.start()
             running = asyncio.ensure_future(
                 service.submit(SimRequest("table1", seed=1))

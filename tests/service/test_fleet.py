@@ -2,7 +2,7 @@
 
 Three layers:
 
-* :class:`LocalFleet` (direct-call transport) pins the fleet *logic*
+* :class:`LocalFleet` (members as each other's peers) pins the fleet *logic*
   — routing by content address, the one-member fleet as the solo
   daemon, peer cache hits/replication, work-stealing from the fair
   queue with timeout requeue, and metrics aggregation — plus the
@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError
+from repro.service import fleet as fleet_module
 from repro.service import (
     BulkJournal,
     FleetConfig,
@@ -50,13 +51,18 @@ from tests.service.conftest import GatedWorker, make_service, quick_worker
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
+@pytest.fixture(autouse=True)
+def _short_steal_timeout(monkeypatch):
+    """A stolen entry its thief never reports is requeued after 5 s."""
+    monkeypatch.setattr(fleet_module, "STEAL_TIMEOUT_S", 5.0)
+
+
 def _thread_pool(n):
     return ThreadPoolExecutor(max_workers=n)
 
 
 def _fleet(replicas, **fleet_kwargs):
     fleet_kwargs.setdefault("steal_interval", 0.01)
-    fleet_kwargs.setdefault("steal_timeout", 5.0)
     return LocalFleet(
         replicas,
         service_config=ServiceConfig(workers=2, bulk_cap=0.5),
@@ -66,7 +72,7 @@ def _fleet(replicas, **fleet_kwargs):
     )
 
 
-def _held_fleet(replicas, worker_fn, *, steal_timeout=5.0, **service_kwargs):
+def _held_fleet(replicas, worker_fn, **service_kwargs):
     """Replicas with one worker and ``bulk_cap=1.0`` (one serialized
     bulk lane each) running ``worker_fn``, with stealing parked so the
     test alone decides what leaves a queue."""
@@ -75,9 +81,7 @@ def _held_fleet(replicas, worker_fn, *, steal_timeout=5.0, **service_kwargs):
         service_config=ServiceConfig(
             workers=1, bulk_cap=1.0, **service_kwargs
         ),
-        fleet_config=FleetConfig(
-            steal_interval=60.0, steal_timeout=steal_timeout
-        ),
+        fleet_config=FleetConfig(steal_interval=60.0),
         pool_factory=_thread_pool,
         worker_fn=worker_fn,
     )
@@ -108,11 +112,7 @@ def _push_ticket(member, seed, key):
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
-            FleetConfig(steal_batch=0)
-        with pytest.raises(ConfigurationError):
             FleetConfig(steal_interval=0)
-        with pytest.raises(ConfigurationError):
-            FleetConfig(steal_timeout=-1)
         with pytest.raises(ConfigurationError):
             LocalFleet(0)
 
@@ -257,15 +257,15 @@ class TestPeerCache:
         absent, key = "0" * 64, "1" * 64
         with _fleet(2) as fleet:
             member = fleet.members[0]
-            hit, _ = member.handle_cache_get(absent)
+            hit, _ = fleet._await(member.cache_get(absent))
             assert not hit
-            member.handle_cache_put(key, "value-1")
-            hit, value = member.handle_cache_get(key)
+            fleet._await(member.cache_put(key, "value-1"))
+            hit, value = fleet._await(member.cache_get(key))
             assert hit and value == "value-1"
             # peer_put never overwrites (first write wins; values are
             # immutable so this is only defensive).
-            member.handle_cache_put(key, "value-2")
-            _, value = member.handle_cache_get(key)
+            fleet._await(member.cache_put(key, "value-2"))
+            _, value = fleet._await(member.cache_get(key))
             assert value == "value-1"
             store = member.service.store.counters
             assert store.peer_gets == 3
@@ -306,17 +306,17 @@ class TestWorkStealing:
             assert m0.counters.steal_requeues == 0
 
     def test_steal_grant_respects_batch_and_flags(self):
-        with _fleet(2, steal_batch=2, steal_interval=60.0) as fleet:
+        with _fleet(2, steal_interval=60.0) as fleet:
             member = fleet.members[0]
             queue = member.service.tenancy.queue
 
-            def grant():
+            async def grant():
                 for seed in range(5):
                     _push_ticket(member, seed, f"key-{seed}")
                 # The ticket a grant would take first is a stolen-in
                 # entry on this replica.
                 member._stolen_in.append("key-4")
-                granted = member.handle_steal("r1", 10)
+                granted = await member.steal("r1", 10)
                 seen = (
                     granted,
                     member.counters.steals_granted,
@@ -326,7 +326,7 @@ class TestWorkStealing:
                 # Settle the parked tickets and empty the queue so
                 # teardown is clean.
                 for rec in granted:
-                    member.handle_stolen(
+                    await member.stolen(
                         rec["entry_id"], 200, {"status": "ok"}
                     )
                 member._stolen_in.clear()
@@ -335,7 +335,7 @@ class TestWorkStealing:
                 return seen
 
             granted, steals_granted, stolen_out, depth = fleet._await(
-                _as_coro(grant)
+                grant()
             )
             # batch cap (2) binds before max_n (10); the stolen-in
             # entry is skipped, so the grant is the next two the fair
@@ -346,12 +346,13 @@ class TestWorkStealing:
             assert stolen_out == 2
             assert depth == 3
 
-    def test_steal_timeout_requeues_entry(self):
+    def test_steal_timeout_requeues_entry(self, monkeypatch):
         """A thief that never reports: the victim's deadline fires,
         the ticket re-enters the fair queue, and the original waiter
         still gets an answer."""
+        monkeypatch.setattr(fleet_module, "STEAL_TIMEOUT_S", 0.2)
         gated = GatedWorker()
-        with _held_fleet(2, gated, steal_timeout=0.2) as fleet:
+        with _held_fleet(2, gated) as fleet:
             member = fleet.members[0]
             holder_seed, seed = _seeds_owned_by(member, "r0", 2, 770)
 
@@ -369,7 +370,7 @@ class TestWorkStealing:
                     )
                 )
                 await asyncio.sleep(0.05)
-                granted = member.handle_steal("ghost", 1)
+                granted = await member.steal("ghost", 1)
                 gated.release()
                 return granted, await waiter, await holder
 
@@ -400,8 +401,8 @@ class TestWorkStealing:
                     )
                 )
                 await asyncio.sleep(0.05)
-                (rec,) = member.handle_steal("r1", 1)
-                member.handle_stolen(
+                (rec,) = await member.steal("r1", 1)
+                await member.stolen(
                     rec["entry_id"], 429,
                     {"status": "rejected", "error": "bulk queue full"},
                 )
@@ -448,15 +449,15 @@ class TestWorkStealing:
         with _fleet(2) as fleet:
             member = fleet.members[0]
 
-            def check():
+            async def check():
                 _push_ticket(member, 5, "some-key")
                 member._closing = True
-                granted = member.handle_steal("r1", 4)
+                granted = await member.steal("r1", 4)
                 member._closing = False
                 member.service.tenancy.queue.pop()
                 return granted
 
-            assert fleet._await(_as_coro(check)) == []
+            assert fleet._await(check()) == []
 
 
 class TestSoloParity:
@@ -839,9 +840,7 @@ class TestHttpFleet:
 
     def test_join_route_and_ring_convergence(self):
         services = [make_service() for _ in range(2)]
-        with _HttpFleet(
-            services, steal_interval=0.01, steal_timeout=5.0
-        ) as fleet:
+        with _HttpFleet(services, steal_interval=0.01) as fleet:
             members, frontends = fleet.members, fleet.frontends
             reply = fleet.join(1)
             assert reply["id"] == "r1"
@@ -889,9 +888,7 @@ class TestHttpFleet:
         with _HttpFleet(services, steal_interval=60.0) as fleet:
             fleet.join(1)
             # Both requests enter through r1; r0 owns both keys.
-            entry = ServiceClient(
-                port=fleet.frontends[1].port, timeout=10.0, keep_alive=False
-            )
+            entry = ServiceClient(port=fleet.frontends[1].port, timeout=10.0)
             bulk_seed, seed = _seeds_owned_by(fleet.members[1], "r0", 2)
             held.append(bulk_seed)
             bulk = []
@@ -909,6 +906,7 @@ class TestHttpFleet:
             finally:
                 gate.set()
                 sender.join(timeout=30.0)
+                entry.close()
             assert not sender.is_alive()
             assert bulk[0].ok
             assert fleet.members[1].counters.forwards == 2
@@ -986,12 +984,12 @@ class TestPeerRouteChecks:
             member = fleet.members[0]
             queue = member.service.tenancy.queue
 
-            def grant():
+            async def grant():
                 # Two queued tickets, one granted to a thief: a steal
                 # could take the other, a report could settle this one.
                 for seed in (1, 2):
                     _push_ticket(member, seed, f"key-{seed}")
-                (rec,) = member.handle_steal("r9", 1)
+                (rec,) = await member.steal("r9", 1)
                 return rec["entry_id"]
 
             def state():
@@ -1004,7 +1002,7 @@ class TestPeerRouteChecks:
                     member.counters.steals_granted,
                 )
 
-            entry_id = fleet.call(_as_coro(grant))
+            entry_id = fleet.call(grant())
             body = {
                 name: entry_id if value is _ENTRY else value
                 for name, value in body.items()
@@ -1015,14 +1013,14 @@ class TestPeerRouteChecks:
             )
             after = fleet.call(_as_coro(state))
 
-            def settle():
-                member.handle_stolen(
+            async def settle():
+                await member.stolen(
                     entry_id, 200, {"status": "ok", "result": "t"}
                 )
                 while queue.pop() is not None:
                     pass
 
-            fleet.call(_as_coro(settle))
+            fleet.call(settle())
         assert status == 400, payload
         assert after == before
 

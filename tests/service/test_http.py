@@ -10,6 +10,7 @@ import asyncio
 import http.client
 import json
 import socket
+import sys
 import threading
 
 import pytest
@@ -43,6 +44,7 @@ class ServedFixture:
         ).result(timeout)
 
     def close(self):
+        self.client.close()
         self.call(self.frontend.stop())
         self.call(self.member.finish_close())
         self.call(self.service.stop())
@@ -249,21 +251,14 @@ class TestBackpressureHeaders:
 class TestClientKeepAlive:
     def test_persistent_connection_reused(self, served):
         """Sequential calls ride one socket: after the first call the
-        client holds a connection, and the daemon sees exactly one
-        accepted connection for all three."""
+        client holds one idle connection, and the daemon sees exactly
+        one accepted connection for all three."""
         for seed in (61, 62, 63):
             assert served.client.run("table1", seed=seed).ok
-        assert getattr(served.client._local, "conn", None) is not None
+        assert len(served.client._idle) == 1
         assert len(served.frontend._connections) == 1
         served.client.close()
-        assert getattr(served.client._local, "conn", None) is None
-
-    def test_keep_alive_false_closes_per_call(self, served):
-        client = ServiceClient(
-            port=served.frontend.port, keep_alive=False
-        )
-        assert client.healthz().ok
-        assert getattr(client._local, "conn", None) is None
+        assert served.client._idle == []
 
     def test_retry_once_after_daemon_restart(self, served):
         """Regression: a persistent connection severed by a daemon
@@ -311,9 +306,9 @@ class TestClientSurface:
         assert [r.payload["seed"] for r in replies] == [21, 22, 23]
 
     def test_run_many_closes_pool_connections(self, served, monkeypatch):
-        # Each pool thread keeps a keep-alive connection; the threads
-        # end with the call, so their sockets must be closed by then
-        # rather than left for the garbage collector.
+        # The pool threads' calls leave keep-alive connections idle;
+        # the threads end with the call, so their sockets must be
+        # closed by then rather than left for the garbage collector.
         opened = []
 
         class Recording(http.client.HTTPConnection):
@@ -329,6 +324,61 @@ class TestClientSurface:
         assert [r.status for r in replies] == [200, 200, 200]
         assert opened
         assert [conn.sock for conn in opened] == [None] * len(opened)
+
+    def test_shared_client_keeps_every_connection(self, monkeypatch):
+        """Threads sharing one client, switching as often as the
+        interpreter allows, lose no connection: once the calls end,
+        every connection the client opened is idle or closed, and
+        close() reaches all of them."""
+        opened = []
+
+        class Instant:
+            """A connection answering 200 at once, so the threads
+            contend for the client instead of waiting on sockets (it
+            is its own response)."""
+
+            status, will_close, closed = 200, False, False
+
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+
+            def request(self, *args, **kwargs):
+                pass
+
+            def getresponse(self):
+                return self
+
+            def read(self):
+                return b"{}"
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(http.client, "HTTPConnection", Instant)
+        client = ServiceClient()
+        statuses = []
+
+        def hammer():
+            for _ in range(4000):
+                statuses.append(client.healthz().status)
+
+        threads = [threading.Thread(target=hammer) for _ in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == [200] * 64000
+        idle = {id(conn) for conn in client._idle}
+        assert len(idle) == len(client._idle)
+        assert all(id(conn) in idle or conn.closed for conn in opened)
+        client.close()
+        assert all(conn.closed for conn in opened)
 
     def test_wait_until_healthy_times_out_fast(self):
         client = ServiceClient(port=1, timeout=0.2)

@@ -20,6 +20,7 @@ from repro.service import (
     SimulationService,
     WorkerSupervisor,
 )
+from repro.service import resilience
 from repro.service.requests import BULK, INTERACTIVE, SimRequest
 from repro.service.resilience import COMPLETED, DEAD_LETTERED, FAILED
 from repro.store import content_key
@@ -61,6 +62,7 @@ class TestBulkJournal:
         assert fresh.record_accept(
             key="k9", experiment="table2", scale=None, seed=None
         ) == c + 1
+        fresh.close()
 
     def test_settle_is_idempotent(self, tmp_path):
         journal = BulkJournal(tmp_path / "j.jsonl")
@@ -80,6 +82,7 @@ class TestBulkJournal:
         (entry_id,) = _accept(journal)
         with pytest.raises(ServiceError):
             journal.record_settle(entry_id, "exploded")
+        journal.close()
 
     def test_torn_final_record_truncated(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -127,9 +130,10 @@ class TestBulkJournal:
         assert [rec["id"] for rec in entries] == [1, 2]
         assert fresh.torn_records == 1
 
-    def test_compaction_drops_settled_pairs(self, tmp_path):
+    def test_compaction_drops_settled_pairs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(resilience, "COMPACT_EVERY", 4)
         path = tmp_path / "j.jsonl"
-        journal = BulkJournal(path, compact_every=4)
+        journal = BulkJournal(path)
         ids = _accept(journal, 6)
         for entry_id in ids[:4]:  # 4th settle triggers compaction
             journal.record_settle(entry_id, COMPLETED)

@@ -36,6 +36,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.experiments.config import SCALES
 from repro.sched.fairshare import FairShareTracker
+from repro.service import tenancy
 from repro.service import (
     FleetMember,
     HttpFrontend,
@@ -129,18 +131,16 @@ class TestTenantQuota:
             ServiceConfig(
                 workers=1, autoscale_min=2, autoscale_max=4
             )
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(tenant_half_life_s=0.0)
 
 
 # ----------------------------------------------------------------------
 # The fair queue
 # ----------------------------------------------------------------------
 class TestTenantFairQueue:
-    def _queue(self, clock=None, **kwargs):
+    def _queue(self, clock=None):
         clock = clock or FakeClock()
         tracker = FairShareTracker(half_life_s=300.0)
-        return TenantFairQueue(tracker, clock=clock, **kwargs), clock
+        return TenantFairQueue(tracker, clock=clock), clock
 
     def test_fifo_within_one_tenant(self):
         queue, _clock = self._queue()
@@ -159,7 +159,6 @@ class TestTenantFairQueue:
         assert queue.depth("a") == 2
         assert queue.depth("b") == 1
         assert queue.depth("c") == 0
-        assert sorted(queue.tenants()) == ["a", "b"]
         queue.pop()
         assert len(queue) == 2
 
@@ -181,11 +180,12 @@ class TestTenantFairQueue:
         queue.push("a", 3)
         assert [queue.pop().item for _ in range(3)] == [1, 2, 3]
 
-    def test_wait_term_bounds_deprioritization(self):
+    def test_wait_term_bounds_deprioritization(self, monkeypatch):
         """A heavily-charged tenant's waiting head catches back up:
-        after ``wait_norm_s`` seconds its score regains a full unit of
-        factor, so it eventually beats any newcomer."""
-        queue, clock = self._queue(wait_norm_s=1.0)
+        after ``DEFAULT_WAIT_NORM_S`` seconds its score regains a full
+        unit of factor, so it eventually beats any newcomer."""
+        monkeypatch.setattr(tenancy, "DEFAULT_WAIT_NORM_S", 1.0)
+        queue, clock = self._queue()
         queue.push("hog", "old")
         queue.tracker.charge("hog", [1000.0], clock.now)
         clock.now = 5.0  # waited 5 wait-norms: score >= -1 + 5
@@ -275,11 +275,15 @@ class TestFairQueueStealContract:
     def test_steal_matches_pop_order_and_requeue_keeps_lanes(
         self, ops, mask
     ):
+        with mock.patch.object(tenancy, "DEFAULT_WAIT_NORM_S", 5.0):
+            self._check_steal_contract(ops, mask)
+
+    @staticmethod
+    def _check_steal_contract(ops, mask):
         tenants = ["a", "b", "c"]
         clock = FakeClock()
         queue = TenantFairQueue(
-            FairShareTracker(half_life_s=60.0), wait_norm_s=5.0,
-            clock=clock,
+            FairShareTracker(half_life_s=60.0), clock=clock
         )
 
         def stealable(ticket):
@@ -698,41 +702,37 @@ class TestAutoscaler:
             WorkerAutoscaler(service, 0, 4)
         with pytest.raises(ConfigurationError):
             WorkerAutoscaler(service, 4, 2)
-        with pytest.raises(ConfigurationError):
-            WorkerAutoscaler(service, 1, 4, patience=0)
-        with pytest.raises(ConfigurationError):
-            WorkerAutoscaler(service, 1, 4, shrink_util=1.0)
 
     def test_grow_needs_patience(self):
         service = _FakeService(workers=2, bulk_cap=0.5)
         service.depth, service.busy = 3, 2  # cap-blocked backlog
-        scaler = WorkerAutoscaler(service, 1, 4, patience=2)
+        scaler = WorkerAutoscaler(service, 1, 4)
         assert scaler.decide() == 0
         assert scaler.decide() == 1
         assert scaler.decide() == 0  # streak reset after a grow
 
-    def test_no_grow_at_maximum(self):
+    def test_no_grow_at_maximum(self, monkeypatch):
+        monkeypatch.setattr(tenancy, "AUTOSCALE_PATIENCE", 1)
         service = _FakeService(workers=4, bulk_cap=0.5)
         service.depth, service.busy = 3, 4
-        scaler = WorkerAutoscaler(service, 1, 4, patience=1)
+        scaler = WorkerAutoscaler(service, 1, 4)
         assert scaler.decide() == 0
 
     def test_shrink_when_idle(self):
         service = _FakeService(workers=4, bulk_cap=0.5)
-        scaler = WorkerAutoscaler(
-            service, 2, 4, patience=2, shrink_util=0.5
-        )
+        scaler = WorkerAutoscaler(service, 2, 4)
         assert scaler.decide() == 0
         assert scaler.decide() == -1
 
-    def test_no_shrink_below_minimum(self):
+    def test_no_shrink_below_minimum(self, monkeypatch):
+        monkeypatch.setattr(tenancy, "AUTOSCALE_PATIENCE", 1)
         service = _FakeService(workers=2, bulk_cap=0.5)
-        scaler = WorkerAutoscaler(service, 2, 4, patience=1)
+        scaler = WorkerAutoscaler(service, 2, 4)
         assert scaler.decide() == 0
 
     def test_mixed_signals_reset_streaks(self):
         service = _FakeService(workers=2, bulk_cap=0.5)
-        scaler = WorkerAutoscaler(service, 1, 4, patience=2)
+        scaler = WorkerAutoscaler(service, 1, 4)
         service.depth, service.busy = 3, 2
         assert scaler.decide() == 0  # grow streak 1
         service.depth, service.busy = 0, 0
@@ -741,28 +741,32 @@ class TestAutoscaler:
         assert scaler.decide() == 0  # grow streak 1 again
         assert scaler.decide() == 1
 
-    def test_tick_applies_resize(self):
+    def test_tick_applies_resize(self, monkeypatch):
+        monkeypatch.setattr(tenancy, "AUTOSCALE_PATIENCE", 1)
         service = _FakeService(workers=2, bulk_cap=0.5)
         service.depth, service.busy = 3, 2
 
         async def scenario():
-            scaler = WorkerAutoscaler(service, 1, 4, patience=1)
+            scaler = WorkerAutoscaler(service, 1, 4)
             return await scaler.tick()
 
         assert run_async(scenario()) == 1
         assert service.resized == [3]
 
-    def test_grow_opens_the_interstice_then_shrinks_back(self):
+    def test_grow_opens_the_interstice_then_shrinks_back(
+        self, monkeypatch
+    ):
         """End to end against the real daemon: a one-worker pool under
         a fractional cap can never admit bulk ((0+1)/1 > 0.9); the
         autoscaler grows the pool, the queued request dispatches, and
         once idle the pool shrinks back to the floor."""
+        # The background task stays dormant: the test ticks by hand.
+        monkeypatch.setattr(tenancy, "AUTOSCALE_INTERVAL_S", 60.0)
 
         async def scenario():
             service = make_tenant_service(
                 workers=1, bulk_cap=0.9,
                 autoscale_min=1, autoscale_max=2,
-                autoscale_interval=60.0,  # background task dormant
             )
             await service.start()
             task = asyncio.ensure_future(

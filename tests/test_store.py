@@ -162,17 +162,20 @@ class TestDiskLayer:
         assert reader.counters.quarantined == 1
         assert (tmp_path / "corrupt" / entry.name).is_file()
 
-    def test_legacy_headerless_entry_readable(self, tmp_path):
-        """Entries written before the integrity header (raw pickle)
-        still load, with no integrity failure recorded."""
+    def test_headerless_entry_quarantined(self, tmp_path):
+        """A raw pickle without the integrity header is never loaded:
+        it is quarantined like any entry that fails the check, and
+        reads as a miss."""
         import pickle
 
-        payload = {"kind": "legacy"}
+        payload = {"kind": "headerless"}
         entry = tmp_path / f"{content_key(payload)}.pkl"
         entry.write_bytes(pickle.dumps({"answer": 42}))
         reader = RunStore(tmp_path)
-        assert reader.get(content_key(payload)) == {"answer": 42}
-        assert reader.counters.integrity_failures == 0
+        assert reader.get(content_key(payload), default="miss") == "miss"
+        assert reader.counters.integrity_failures == 1
+        assert reader.counters.quarantined == 1
+        assert (tmp_path / "corrupt" / entry.name).is_file()
 
     def test_quarantine_preserves_bad_bytes(self, tmp_path):
         payload = {"kind": "test"}
