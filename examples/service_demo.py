@@ -36,6 +36,7 @@ def free_port() -> int:
 
 def main() -> None:
     port = free_port()
+    client = ServiceClient(port=port)
     server = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--scale", "quick", "--port", str(port), "--workers", "2"],
@@ -44,7 +45,6 @@ def main() -> None:
         text=True,
     )
     try:
-        client = ServiceClient(port=port)
         client.wait_until_healthy(timeout=60.0)
         health = client.healthz().payload
         print(
@@ -87,6 +87,7 @@ def main() -> None:
             + counters["coalesced_hits"]
         ) == N_REQUESTS
     finally:
+        client.close()
         server.send_signal(signal.SIGTERM)
         _, stderr = server.communicate(timeout=60.0)
 

@@ -259,7 +259,7 @@ class ServiceCounters(_Registry):
         Requests abandoned after exhausting their retry budget.
     worker_replacements:
         Times the supervisor replaced the worker pool after a crash,
-        a hung request, or a failed heartbeat.
+        a hung request, or a refused submission.
     request_timeouts:
         Dispatches that exceeded the per-request deadline.
     journal_replays:

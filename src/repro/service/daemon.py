@@ -55,7 +55,7 @@ import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, DeadLetterError, ServiceError
 from repro.experiments.config import ExperimentScale, current_scale
@@ -125,13 +125,6 @@ class ServiceConfig:
         :class:`~repro.faults.RetryPolicy` bounding re-execution of
         requests whose worker crashed or hung (dead-letter after the
         attempt budget).
-    heartbeat_interval:
-        Probe an idle worker pool every this many seconds; replace it
-        on a failed probe.  ``None`` disables the heartbeat.
-    lease_timeout:
-        Stale-lease timeout for the run store's cross-process
-        computation leases; ``None`` defers to ``REPRO_LEASE_TIMEOUT``
-        or the store default.
     tenant_quota:
         Optional per-tenant admission limits (max in-flight dispatches
         plus max bulk-queue share); ``None`` leaves tenants bounded
@@ -151,8 +144,6 @@ class ServiceConfig:
     journal_path: Optional[str] = None
     request_timeout: Optional[float] = None
     retry: RetryPolicy = DEFAULT_SERVICE_RETRY
-    heartbeat_interval: Optional[float] = None
-    lease_timeout: Optional[float] = None
     tenant_quota: Optional[TenantQuota] = None
     autoscale_min: Optional[int] = None
     autoscale_max: Optional[int] = None
@@ -171,18 +162,6 @@ class ServiceConfig:
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ConfigurationError(
                 f"request_timeout must be positive: {self.request_timeout}"
-            )
-        if (
-            self.heartbeat_interval is not None
-            and self.heartbeat_interval <= 0
-        ):
-            raise ConfigurationError(
-                f"heartbeat_interval must be positive: "
-                f"{self.heartbeat_interval}"
-            )
-        if self.lease_timeout is not None and self.lease_timeout <= 0:
-            raise ConfigurationError(
-                f"lease_timeout must be positive: {self.lease_timeout}"
             )
         if (self.autoscale_min is None) != (self.autoscale_max is None):
             raise ConfigurationError(
@@ -241,9 +220,7 @@ class SimulationService:
     ) -> None:
         self.config = config
         self.metrics = ServiceMetrics()
-        self.store = RunStore(
-            config.store_path, lease_timeout=config.lease_timeout
-        )
+        self.store = RunStore(config.store_path)
         self._scale = config.effective_scale()
         self._pool_factory = pool_factory or (
             lambda n: ProcessPoolExecutor(max_workers=n)
@@ -269,7 +246,6 @@ class SimulationService:
             )
         self._autoscale_task: Optional[asyncio.Task] = None
         self._replay_tasks: Set[asyncio.Task] = set()
-        self._journal_sync_fut: Optional[asyncio.Future] = None
         #: Current pool size; starts at ``config.workers`` and moves
         #: only via :meth:`resize_workers`.
         self._workers = config.workers
@@ -295,7 +271,6 @@ class SimulationService:
             counters=self.metrics.counters,
             retry=self.config.retry,
             request_timeout=self.config.request_timeout,
-            heartbeat_interval=self.config.heartbeat_interval,
         )
         await self.supervisor.start()
         self._admission_task = self._loop.create_task(
@@ -394,18 +369,7 @@ class SimulationService:
             # another accepted entry computed the same key).
             self.journal.record_settle(entry_id, COMPLETED)
             return
-        if key in self._inflight:
-            await self._settle_from_future(entry_id, self._inflight[key])
-            return
-        await self._execute(request, scale, key, journal_id=entry_id)
-
-    async def _settle_from_future(
-        self, entry_id: int, future: asyncio.Future
-    ) -> None:
-        outcome, _value = await asyncio.shield(future)
-        self.journal.record_settle(
-            entry_id, COMPLETED if outcome == "ok" else FAILED
-        )
+        await self._settled(entry_id, self._coalesce(request, scale, key))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -550,38 +514,19 @@ class SimulationService:
             return self._ok(request, scale, key, cached,
                             cached=True, coalesced=False, elapsed=0.0)
 
-        if key in self._inflight:
-            counters.coalesced_hits += 1
-            tenant_counters.accepted += 1
-            # Capture the future before the journal fsync yields: the
-            # computation may finish (and pop its inflight entry)
-            # during the await.
-            future = self._inflight[key]
-            journal_id = await self._journal_accept(request, key)
-            return await self._coalesce(
-                request, scale, key, future, journal_id
-            )
-
-        rejection = self._backpressure(request)
-        if rejection is not None:
-            counters.rejections += 1
-            tenant_counters.rejections += 1
-            return rejection
-
+        # Capture the in-flight future before the journal fsync yields:
+        # the computation may finish (and pop its entry) meanwhile.
+        future = self._inflight.get(key)
+        if future is None:
+            rejection = self._backpressure(request)
+            if rejection is not None:
+                counters.rejections += 1
+                tenant_counters.rejections += 1
+                return rejection
         tenant_counters.accepted += 1
         journal_id = await self._journal_accept(request, key)
-        # The journal fsync yielded after the inflight check above; a
-        # concurrent submit (or journal replay) may have registered
-        # this key in the meantime — coalesce onto it instead of
-        # computing twice.
-        late = self._inflight.get(key)
-        if late is not None:
-            counters.coalesced_hits += 1
-            return await self._coalesce(
-                request, scale, key, late, journal_id
-            )
-        return await self._execute(
-            request, scale, key, journal_id=journal_id
+        return await self._settled(
+            journal_id, self._coalesce(request, scale, key, future)
         )
 
     def resolve(self, request: SimRequest) -> Tuple[ExperimentScale, str]:
@@ -595,41 +540,53 @@ class SimulationService:
         scale = request.resolve_scale(self._scale)
         return scale, content_key(request.run_payload(scale))
 
+    async def _settled(
+        self, journal_id: Optional[int], run: Awaitable[ServiceResponse]
+    ) -> ServiceResponse:
+        """Await ``run`` and write ``journal_id``'s one terminal record
+        (when set) from its response.  A cancellation propagates first,
+        leaving the entry open for the next replay: a cancelled
+        computation has no terminal state yet."""
+        response = await run
+        if journal_id is not None:
+            if response.ok:
+                outcome = COMPLETED
+            elif response.payload.get("dead_lettered"):
+                outcome = DEAD_LETTERED
+            else:
+                outcome = FAILED
+            self.journal.record_settle(journal_id, outcome)
+        return response
+
     async def _coalesce(
         self,
         request: SimRequest,
         scale: ExperimentScale,
         key: str,
-        future: "asyncio.Future[Any]",
-        journal_id: Optional[int],
+        future: "Optional[asyncio.Future[Any]]" = None,
     ) -> ServiceResponse:
-        """Wait on another request's in-flight computation and settle
-        this request's journal entry from its outcome."""
+        """Follow the key's in-flight computation — ``future``, or one
+        registered since it was looked up — or compute it."""
+        if future is None:
+            future = self._inflight.get(key)
+            if future is None:
+                return await self._execute(request, scale, key)
+        self.metrics.counters.coalesced_hits += 1
         outcome, value = await asyncio.shield(future)
         if outcome != "ok":
-            self._journal_settle(journal_id, FAILED)
             return ServiceResponse(
                 500, {"status": "error", "error": value}
             )
-        self._journal_settle(journal_id, COMPLETED)
         self.metrics.tenant(request.effective_tenant).completed += 1
         return self._ok(request, scale, key, value,
                         cached=False, coalesced=True, elapsed=0.0)
 
     async def _execute(
-        self,
-        request: SimRequest,
-        scale: ExperimentScale,
-        key: str,
-        *,
-        journal_id: Optional[int] = None,
+        self, request: SimRequest, scale: ExperimentScale, key: str
     ) -> ServiceResponse:
         """Admit, compute on the supervised pool, store, and resolve
-        coalesced waiters; settles ``journal_id`` (when set) with
-        exactly one terminal record — except on cancellation, where
-        the entry is deliberately left open for the next replay.  A
-        bulk request a fleet peer stole settles from the peer's
-        report instead of a dispatch."""
+        coalesced waiters.  A bulk request a fleet peer stole answers
+        with the peer's report instead of a dispatch."""
         counters = self.metrics.counters
         tenant = request.effective_tenant
         tenant_counters = self.metrics.tenant(tenant)
@@ -643,9 +600,7 @@ class SimulationService:
                 # stole comes back as that peer's response instead.
                 stolen = await self._await_bulk_admission(request, key)
                 if stolen is not None:
-                    return self._settle_stolen(
-                        request, future, stolen, journal_id
-                    )
+                    return self._settle_stolen(request, future, stolen)
             else:
                 self._busy += 1
                 self.tenancy.begin_dispatch(tenant)
@@ -674,32 +629,19 @@ class SimulationService:
                 self.metrics.record_service_time(tenant, service_s)
                 await self._notify()
         except asyncio.CancelledError:
-            # Never strand coalesced waiters on an unresolvable
-            # future.  The journal entry stays open on purpose: a
-            # cancelled computation has no terminal state yet and must
-            # replay after restart.
+            # Never strand coalesced waiters on an unresolvable future.
             future.set_result(("error", "computation cancelled"))
             raise
-        except DeadLetterError as exc:
-            counters.failures += 1
-            tenant_counters.failures += 1
-            future.set_result(("error", str(exc)))
-            self._journal_settle(journal_id, DEAD_LETTERED)
-            return ServiceResponse(
-                500,
-                {"status": "error", "error": str(exc),
-                 "dead_lettered": True},
-            )
         except Exception as exc:  # noqa: BLE001 - boundary to workers
             counters.failures += 1
             tenant_counters.failures += 1
-            future.set_result(("error", f"{type(exc).__name__}: {exc}"))
-            self._journal_settle(journal_id, FAILED)
-            return ServiceResponse(
-                500,
-                {"status": "error",
-                 "error": f"{type(exc).__name__}: {exc}"},
-            )
+            dead = isinstance(exc, DeadLetterError)
+            error = str(exc) if dead else f"{type(exc).__name__}: {exc}"
+            future.set_result(("error", error))
+            payload = {"status": "error", "error": error}
+            if dead:
+                payload["dead_lettered"] = True
+            return ServiceResponse(500, payload)
         else:
             elapsed = time.monotonic() - started
             counters.computes += 1
@@ -708,7 +650,6 @@ class SimulationService:
             self.store.put(key, text)
             self.metrics.record_latency(request.priority, elapsed)
             future.set_result(("ok", text))
-            self._journal_settle(journal_id, COMPLETED)
             return self._ok(request, scale, key, text,
                             cached=False, coalesced=False, elapsed=elapsed)
         finally:
@@ -720,19 +661,16 @@ class SimulationService:
         request: SimRequest,
         future: "asyncio.Future[Any]",
         response: ServiceResponse,
-        journal_id: Optional[int],
     ) -> ServiceResponse:
-        """Settle a bulk request that a fleet peer stole, from the
-        peer's report: coalesced waiters and the journal entry resolve
-        as for a follower of the peer's computation (no compute or
-        service time is counted here; the peer counts those)."""
+        """Answer a bulk request that a fleet peer stole from the
+        peer's report: coalesced waiters resolve as followers of the
+        peer's computation (no compute or service time is counted
+        here; the peer counts those)."""
         if response.ok:
             future.set_result(("ok", response.payload["result"]))
-            self._journal_settle(journal_id, COMPLETED)
             self.metrics.tenant(request.effective_tenant).completed += 1
         else:
             future.set_result(("error", response.payload.get("error")))
-            self._journal_settle(journal_id, FAILED)
         return response
 
     # ------------------------------------------------------------------
@@ -743,7 +681,11 @@ class SimulationService:
     ) -> Optional[int]:
         """WAL-log an accepted bulk request; durable (fsynced) before
         returning.  No-op (returns None) for interactive requests or
-        when journaling is disabled."""
+        when journaling is disabled.
+
+        Group commit: every accept of one loop tick is appended before
+        the first of them resumes from the yield, so that one's fsync
+        covers them all and the rest find the log clean."""
         if self.journal is None or request.priority != BULK:
             return None
         entry_id = self.journal.record_accept(
@@ -753,33 +695,9 @@ class SimulationService:
             seed=request.seed,
             tenant=request.tenant,
         )
-        await self._journal_commit()
+        await asyncio.sleep(0)
+        self.journal.sync()
         return entry_id
-
-    def _journal_settle(
-        self, journal_id: Optional[int], outcome: str
-    ) -> None:
-        if self.journal is not None and journal_id is not None:
-            self.journal.record_settle(journal_id, outcome)
-
-    async def _journal_commit(self) -> None:
-        """Group-commit: every accept recorded in the same event-loop
-        tick shares one fsync."""
-        fut = self._journal_sync_fut
-        if fut is None:
-            fut = self._loop.create_future()
-            self._journal_sync_fut = fut
-            self._loop.call_soon(self._journal_fsync, fut)
-        await fut
-
-    def _journal_fsync(self, fut: asyncio.Future) -> None:
-        self._journal_sync_fut = None
-        try:
-            self.journal.sync()
-        except OSError as exc:
-            fut.set_exception(exc)
-        else:
-            fut.set_result(None)
 
     # ------------------------------------------------------------------
     # Admission control
@@ -849,65 +767,45 @@ class SimulationService:
         queue is deep with someone else's flood."""
         tenant = request.effective_tenant
         quota = self.config.tenant_quota
+        # The labels of a rejection the tenant brought on itself (a
+        # quota) and of one the shared queue did.
+        over_quota = full = None
         if request.priority == BULK:
             if quota is not None:
                 limit = quota.max_backlog(self.config.max_queue)
                 queued = self.tenancy.queued_of(tenant)
                 if queued >= limit:
-                    return self._reject_quota(
-                        request,
-                        tenant,
+                    over_quota = (
                         f"tenant {tenant!r} over bulk backlog share "
-                        f"({queued}/{limit} queued)",
+                        f"({queued}/{limit} queued)"
                     )
-            if len(self._bulk_queue) < self.config.max_queue:
-                return None
-            label = "bulk queue full"
+            if len(self._bulk_queue) >= self.config.max_queue:
+                full = "bulk queue full"
         else:
             if (
                 quota is not None
-                and self.tenancy.inflight_of(tenant)
-                >= quota.max_inflight
+                and self.tenancy.inflight_of(tenant) >= quota.max_inflight
             ):
-                return self._reject_quota(
-                    request,
-                    tenant,
+                over_quota = (
                     f"tenant {tenant!r} at max in-flight "
-                    f"({quota.max_inflight})",
+                    f"({quota.max_inflight})"
                 )
-            if self._busy - self._workers < MAX_BACKLOG:
-                return None
-            label = "interactive backlog full"
-        retry_after = self._retry_after(
-            request.priority, self._tenant_depth(tenant), tenant
+            if self._busy - self._workers >= MAX_BACKLOG:
+                full = "interactive backlog full"
+        label = over_quota or full
+        if label is None:
+            return None
+        payload = {"status": "rejected", "error": label, "tenant": tenant}
+        if over_quota:
+            self.metrics.counters.quota_rejections += 1
+            self.metrics.tenant(tenant).quota_rejections += 1
+            payload["quota"] = True
+        # The depth term is the tenant's own queued + in-flight work,
+        # at least 1 (there is always the request being bounced).
+        payload["retry_after_s"] = self._retry_after(
+            request.priority, max(1, self.tenancy.pending_of(tenant)), tenant
         )
-        return ServiceResponse(
-            429,
-            {"status": "rejected", "error": label, "tenant": tenant,
-             "retry_after_s": retry_after},
-        )
-
-    def _reject_quota(
-        self, request: SimRequest, tenant: str, label: str
-    ) -> ServiceResponse:
-        """A tenant-scoped quota 429 (the subset of rejections the
-        tenant brought on itself)."""
-        self.metrics.counters.quota_rejections += 1
-        self.metrics.tenant(tenant).quota_rejections += 1
-        retry_after = self._retry_after(
-            request.priority, self._tenant_depth(tenant), tenant
-        )
-        return ServiceResponse(
-            429,
-            {"status": "rejected", "error": label, "tenant": tenant,
-             "quota": True, "retry_after_s": retry_after},
-        )
-
-    def _tenant_depth(self, tenant: str) -> int:
-        """The depth term of a tenant-scoped Retry-After: the tenant's
-        own queued + in-flight work, at least 1 (there is always the
-        request being bounced)."""
-        return max(1, self.tenancy.pending_of(tenant))
+        return ServiceResponse(429, payload)
 
     def _retry_after(
         self, priority: str, depth: int, tenant: Optional[str] = None

@@ -76,6 +76,7 @@ from repro.service.requests import (
     INTERACTIVE,
     ServiceResponse,
     SimRequest,
+    typed_fields,
 )
 from repro.service.ring import HashRing
 from repro.service.tenancy import TenantTicket
@@ -395,11 +396,7 @@ class FleetMember:
         :class:`ServiceError`, adopting none of it, unless ``members``
         is a list of ``{"id": str, "host": str, "port": int}``."""
         if not isinstance(members, list) or not all(
-            isinstance(rec, dict)
-            and isinstance(rec.get("id"), str)
-            and isinstance(rec.get("host"), str)
-            and type(rec.get("port")) is int
-            for rec in members
+            typed_fields(rec, id=str, host=str, port=int) for rec in members
         ):
             raise ServiceError(
                 "'members' must be a list of {id, host, port} records"
@@ -632,14 +629,11 @@ class LocalFleet:
         self._thread = threading.Thread(
             target=self._loop.run_forever, daemon=True
         )
-        kwargs: Dict[str, Any] = {}
-        if pool_factory is not None:
-            kwargs["pool_factory"] = pool_factory
-        if worker_fn is not None:
-            kwargs["worker_fn"] = worker_fn
         self.members: List[FleetMember] = []
         for i in range(replicas):
-            service = SimulationService(base_service, **kwargs)
+            service = SimulationService(
+                base_service, pool_factory=pool_factory, worker_fn=worker_fn
+            )
             member = FleetMember(
                 service,
                 replace(base_fleet, replica_id=f"r{i}", coordinator=i == 0),

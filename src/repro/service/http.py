@@ -53,7 +53,7 @@ from typing import (
 )
 
 from repro.errors import ServiceError
-from repro.service.requests import ServiceResponse, SimRequest
+from repro.service.requests import ServiceResponse, SimRequest, typed_fields
 
 if TYPE_CHECKING:
     from repro.service.fleet import FleetMember
@@ -215,41 +215,38 @@ class HttpFrontend:
             return _error(404, f"no such path {path!r}")
         if method != "POST":
             return _method_not_allowed("POST")
-        if path in ("/run", "/fleet/run"):
-            request = _parse_request_body(
-                body, header_tenant=headers.get(TENANT_HEADER)
-            )
-            if isinstance(request, ServiceResponse):
-                return request
-            if path == "/run":
-                return await member.submit(request)
-            return await member.run(request)
         payload = _parse_json(body)
         if isinstance(payload, ServiceResponse):
             return payload
+        if path in ("/run", "/fleet/run"):
+            # The body's own "tenant" field wins: it is what fleet
+            # peers forward.
+            if headers.get(TENANT_HEADER):
+                payload.setdefault("tenant", headers[TENANT_HEADER])
+            try:
+                request = SimRequest.from_payload(payload)
+            except ServiceError as exc:
+                return _error(400, str(exc))
+            if path == "/run":
+                return await member.submit(request)
+            return await member.run(request)
         if path == "/fleet/steal":
-            thief = payload.get("thief", "?")
-            max_n = payload.get("max_n", 1)
-            if not isinstance(thief, str) or type(max_n) is not int:
+            fields = typed_fields(payload, thief=str, max_n=int)
+            if fields is None:
                 return _error(
                     400, "steal needs 'thief' (str) and 'max_n' (int)"
                 )
-            entries = await member.steal(thief, max_n)
+            entries = await member.steal(*fields)
             return ServiceResponse(
                 200, {"status": "ok", "entries": entries}
             )
         if path == "/fleet/stolen":
-            entry_id = payload.get("entry_id")
-            status = payload.get("status")
-            report = payload.get("payload") or {}
-            if (
-                type(entry_id) is not int
-                or type(status) is not int
-                or not isinstance(report, dict)
-                or (
-                    200 <= status < 300
-                    and not isinstance(report.get("result"), str)
-                )
+            fields = typed_fields(
+                payload, entry_id=int, status=int, payload=dict
+            )
+            if fields is None or (
+                200 <= fields[1] < 300
+                and not isinstance(fields[2].get("result"), str)
             ):
                 return _error(
                     400,
@@ -257,17 +254,16 @@ class HttpFrontend:
                     "(int) and a 'payload' object, with a 'result' "
                     "string on success",
                 )
-            await member.stolen(entry_id, status, report)
+            await member.stolen(*fields)
             return ServiceResponse(200, {"status": "ok"})
         if path == "/fleet/join":
-            host = payload.get("host")
-            port = payload.get("port")
-            if not isinstance(host, str) or type(port) is not int:
+            fields = typed_fields(payload, host=str, port=int)
+            if fields is None:
                 return _error(
                     400, "join needs 'host' (str) and 'port' (int)"
                 )
             try:
-                return ServiceResponse(200, member.handle_join(host, port))
+                return ServiceResponse(200, member.handle_join(*fields))
             except ServiceError as exc:
                 return _error(409, str(exc))
         try:  # /fleet/membership
@@ -291,11 +287,11 @@ class HttpFrontend:
         payload = _parse_json(body)
         if isinstance(payload, ServiceResponse):
             return payload
-        value = payload.get("value")
-        if not isinstance(value, str):
+        fields = typed_fields(payload, value=str)
+        if fields is None:
             return _error(400, "'value' must be a string")
         try:
-            await self.member.cache_put(key, value)
+            await self.member.cache_put(key, *fields)
         except ServiceError as exc:
             return _error(400, str(exc))
         return ServiceResponse(200, {"status": "ok"})
@@ -471,28 +467,6 @@ def _parse_json(body: bytes):
     return payload
 
 
-def _parse_request_body(
-    body: bytes, header_tenant: Optional[str] = None
-):
-    """Decode a body into a :class:`SimRequest`, or a 400 response.
-
-    ``header_tenant`` is the ``X-Repro-Tenant`` header value, used as
-    the request tenant when the JSON body doesn't carry one (an
-    explicit body field always wins — it is what fleet peers forward).
-    """
-    try:
-        payload = json.loads(body.decode("utf-8") or "null")
-        if (
-            header_tenant
-            and isinstance(payload, dict)
-            and "tenant" not in payload
-        ):
-            payload = dict(payload, tenant=header_tenant)
-        return SimRequest.from_payload(payload)
-    except (ValueError, ServiceError) as exc:
-        return _error(400, str(exc))
-
-
 async def _read_message(reader: asyncio.StreamReader):
     """Parse one HTTP message, a request (the server's side) or a
     response (the peer transport's side).  Returns ``None`` on a clean
@@ -518,10 +492,10 @@ async def _read_message(reader: asyncio.StreamReader):
             return _error(400, "truncated headers")
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
+    length = headers.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()):
         return _error(400, "bad Content-Length")
+    length = int(length)
     if length > MAX_BODY_BYTES:
         return _error(413, "message body too large")
     try:

@@ -23,8 +23,8 @@ keeps every pre-tenancy client working unchanged.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.experiments.config import SCALES, ExperimentScale
@@ -136,22 +136,16 @@ class SimRequest:
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "SimRequest":
         """Build a request from a decoded JSON body, rejecting unknown
-        fields (catching client typos like ``"prioritty"``)."""
+        fields (catching client typos like ``"prioritty"``); a null
+        field takes its default."""
         if not isinstance(payload, Mapping):
             raise ServiceError("request body must be a JSON object")
-        known = {"experiment", "scale", "seed", "priority", "tenant"}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ServiceError(f"unknown request fields: {unknown}")
-        if "experiment" not in payload:
+        if payload.get("experiment") is None:
             raise ServiceError("request needs an 'experiment' field")
-        kwargs: Dict[str, Any] = {"experiment": payload["experiment"]}
-        for field in ("scale", "seed", "tenant"):
-            if payload.get(field) is not None:
-                kwargs[field] = payload[field]
-        if payload.get("priority") is not None:
-            kwargs["priority"] = payload["priority"]
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in payload.items() if v is not None})
 
     # ------------------------------------------------------------------
     def resolve_scale(self, default: ExperimentScale) -> ExperimentScale:
@@ -181,3 +175,19 @@ class SimRequest:
     def run_key(self, default: ExperimentScale) -> str:
         """Content address of the request's computation."""
         return content_key(self.run_payload(self.resolve_scale(default)))
+
+
+def typed_fields(record: Any, **types: type) -> Optional[Tuple[Any, ...]]:
+    """The values of ``record``'s fields named in ``types``, in that
+    order — or ``None`` unless ``record`` is a dict holding each of
+    them with its type (a ``bool`` is no ``int``).  The one shape check
+    for what fleet peers send."""
+    if not isinstance(record, dict):
+        return None
+    values = tuple(record.get(name) for name in types)
+    for value, kind in zip(values, types.values()):
+        if not isinstance(value, kind) or (
+            kind is int and isinstance(value, bool)
+        ):
+            return None
+    return values

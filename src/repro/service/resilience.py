@@ -25,9 +25,8 @@ or corrupting accepted work.  Two pieces:
   processes) and builds a fresh one — and the victim request is
   re-executed under the existing :class:`~repro.faults.RetryPolicy`
   (exponential backoff, dead-letter after the attempt budget, all
-  surfaced in ``/metrics``).  An optional heartbeat probes an idle
-  pool so a silently-broken executor is replaced before the next real
-  request pays for the discovery.
+  surfaced in ``/metrics``).  A pool that dies while idle is found by
+  the next dispatch, which replaces it and retries.
 
 Both classes are event-loop confined (no locks): the daemon calls them
 only from its loop thread, worker computations being the only thing
@@ -64,11 +63,6 @@ OUTCOMES = (COMPLETED, FAILED, DEAD_LETTERED)
 #: A journal rewrites its log, keeping only open entries, once this
 #: many settles have accumulated since the last compaction.
 COMPACT_EVERY = 512
-
-
-def _ping() -> int:  # pragma: no cover - trivial, runs in workers
-    """Heartbeat probe dispatched to the pool (picklable, instant)."""
-    return os.getpid()
 
 
 class BulkJournal:
@@ -340,9 +334,6 @@ class WorkerSupervisor:
         :class:`~repro.faults.RetryPolicy` bounding re-execution.
     request_timeout:
         Per-dispatch deadline in seconds (``None`` disables).
-    heartbeat_interval:
-        Probe an *idle* pool every this many seconds with a trivial
-        task; replace it on failure (``None`` disables).
     """
 
     def __init__(
@@ -353,19 +344,15 @@ class WorkerSupervisor:
         counters: Optional[ServiceCounters] = None,
         retry: RetryPolicy = DEFAULT_SERVICE_RETRY,
         request_timeout: Optional[float] = None,
-        heartbeat_interval: Optional[float] = None,
     ) -> None:
         self._pool_factory = pool_factory
         self._workers = workers
         self.counters = counters if counters is not None else ServiceCounters()
         self.retry = retry
         self.request_timeout = request_timeout
-        self.heartbeat_interval = heartbeat_interval
         self._pool: Optional[Any] = None
         self._generation = 0
-        self._active = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._heartbeat_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
     @property
@@ -376,19 +363,8 @@ class WorkerSupervisor:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._pool = self._pool_factory(self._workers)
-        if self.heartbeat_interval is not None:
-            self._heartbeat_task = self._loop.create_task(
-                self._heartbeat_loop()
-            )
 
     async def stop(self) -> None:
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            try:
-                await self._heartbeat_task
-            except asyncio.CancelledError:
-                pass
-            self._heartbeat_task = None
         if self._pool is not None:
             pool = self._pool
             self._pool = None
@@ -407,8 +383,6 @@ class WorkerSupervisor:
         the fresh pool — its ``_replace`` call no-ops on the stale
         generation and the retry simply lands on the new pool.
         """
-        if workers < 1:
-            raise ServiceError(f"workers must be >= 1: {workers}")
         self._workers = workers
         if self._pool is None:
             return
@@ -427,40 +401,33 @@ class WorkerSupervisor:
             pool, generation = self._pool, self._generation
             if pool is None:
                 raise ServiceError("supervisor is stopped")
-            self._active += 1
             try:
+                future = self._loop.run_in_executor(pool, fn, *args)
+            except RuntimeError as exc:
+                # executor.submit() raises RuntimeError synchronously
+                # when the pool (or interpreter) has shut down; a
+                # RuntimeError raised *by the worker* surfaces on the
+                # await below and propagates unretried like any other
+                # worker exception.
+                self._replace(generation)
+                failure = f"worker pool unusable: {exc}"
+            else:
                 try:
-                    future = self._loop.run_in_executor(pool, fn, *args)
-                except RuntimeError as exc:
-                    # executor.submit() raises RuntimeError
-                    # synchronously when the pool (or interpreter) has
-                    # shut down; a RuntimeError raised *by the worker*
-                    # surfaces on the await below and propagates
-                    # unretried like any other worker exception.
+                    return await asyncio.wait_for(
+                        future, self.request_timeout
+                    )
+                except asyncio.TimeoutError:
+                    self.counters.request_timeouts += 1
                     self._replace(generation)
-                    failure = f"worker pool unusable: {exc}"
-                else:
-                    try:
-                        if self.request_timeout is not None:
-                            return await asyncio.wait_for(
-                                future, self.request_timeout
-                            )
-                        return await future
-                    except asyncio.TimeoutError:
-                        self.counters.request_timeouts += 1
-                        self._replace(generation)
-                        failure = (
-                            f"request exceeded its {self.request_timeout}s "
-                            f"deadline (hung worker replaced)"
-                        )
-                    except BrokenExecutor as exc:
-                        self._replace(generation)
-                        failure = (
-                            f"worker pool broke: "
-                            f"{exc or type(exc).__name__}"
-                        )
-            finally:
-                self._active -= 1
+                    failure = (
+                        f"request exceeded its {self.request_timeout}s "
+                        f"deadline (hung worker replaced)"
+                    )
+                except BrokenExecutor as exc:
+                    self._replace(generation)
+                    failure = (
+                        f"worker pool broke: {exc or type(exc).__name__}"
+                    )
             attempts += 1
             if not self.retry.allows(attempts):
                 self.counters.dead_letters += 1
@@ -498,20 +465,3 @@ class WorkerSupervisor:
                 proc.kill()
             except Exception:  # noqa: BLE001 - already dead is fine
                 pass
-
-    async def _heartbeat_loop(self) -> None:
-        """Probe the pool while idle; a failed or overdue probe means
-        the pool died between requests — replace it now so the next
-        real request lands on a live one."""
-        while True:
-            await asyncio.sleep(self.heartbeat_interval)
-            if self._active or self._pool is None:
-                continue  # in-flight dispatches are the health probe
-            pool, generation = self._pool, self._generation
-            try:
-                await asyncio.wait_for(
-                    self._loop.run_in_executor(pool, _ping),
-                    max(self.heartbeat_interval, 1.0),
-                )
-            except (asyncio.TimeoutError, BrokenExecutor, RuntimeError):
-                self._replace(generation)

@@ -4,9 +4,9 @@ The fleet shards its content-addressed cache by routing every request
 key (already a SHA-256 hex digest — see :func:`repro.store.content_key`)
 to one *owner* replica.  :class:`HashRing` implements the classic
 consistent-hashing construction: each replica id is expanded into
-``vnodes`` virtual points (``sha256("<replica>#<i>")`` truncated to 64
-bits), all points are kept sorted, and a key is owned by the first
-point clockwise from the key's own hash.
+:data:`DEFAULT_VNODES` virtual points (``sha256("<replica>#<i>")``
+truncated to 64 bits), all points are kept sorted, and a key is owned
+by the first point clockwise from the key's own hash.
 
 Two properties matter to the fleet and are pinned by tests:
 
@@ -16,10 +16,9 @@ Two properties matter to the fleet and are pinned by tests:
   byte-identical ownership, so replicas route without consulting each
   other.
 * **Stability** — adding a replica moves only the keys the new replica
-  now owns (≈ K/N of them); removing a replica moves only the keys it
-  owned, each to the replica that would have owned it had the removed
-  one never existed.  Peer caches therefore stay mostly warm across
-  membership changes.
+  now owns (≈ K/N of them), so peer caches stay mostly warm as the
+  fleet grows.  Membership is append-only (the fleet has no leave
+  protocol), so the ring has no removal.
 
 The ring is a pure data structure: membership changes are the fleet
 layer's job (see :mod:`repro.service.fleet`).
@@ -54,19 +53,9 @@ class HashRing:
     ----------
     replicas:
         Initial replica ids (any iterable of unique strings).
-    vnodes:
-        Virtual points per replica (>= 1).
     """
 
-    def __init__(
-        self,
-        replicas: Iterable[str] = (),
-        *,
-        vnodes: int = DEFAULT_VNODES,
-    ) -> None:
-        if vnodes < 1:
-            raise ConfigurationError(f"vnodes must be >= 1: {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, replicas: Iterable[str] = ()) -> None:
         #: Sorted (point, replica_id) pairs.  The replica id is part of
         #: the sort key only to break (astronomically unlikely) point
         #: ties deterministically; lookups bisect on the point alone.
@@ -98,16 +87,8 @@ class HashRing:
         if replica in self._replicas:
             return
         self._replicas.add(replica)
-        for i in range(self.vnodes):
+        for i in range(DEFAULT_VNODES):
             insort(self._points, (_point(f"{replica}#{i}"), replica))
-        self._hashes = [p for p, _ in self._points]
-
-    def remove(self, replica: str) -> None:
-        """Remove ``replica``'s virtual points (idempotent)."""
-        if replica not in self._replicas:
-            return
-        self._replicas.discard(replica)
-        self._points = [p for p in self._points if p[1] != replica]
         self._hashes = [p for p, _ in self._points]
 
     # ------------------------------------------------------------------
@@ -119,22 +100,6 @@ class HashRing:
         if idx == len(self._points):
             idx = 0  # wrap around the top of the ring
         return self._points[idx][1]
-
-    def owners(self, key: str, n: int) -> List[str]:
-        """The first ``n`` *distinct* replicas clockwise from ``key``
-        (fewer when the ring has fewer members) — the owner first,
-        then its successors, the natural replication set."""
-        if not self._points or n < 1:
-            return []
-        found: List[str] = []
-        idx = bisect_right(self._hashes, _point(key))
-        for step in range(len(self._points)):
-            _, replica = self._points[(idx + step) % len(self._points)]
-            if replica not in found:
-                found.append(replica)
-                if len(found) == n:
-                    break
-        return found
 
     # ------------------------------------------------------------------
     def assignment_digest(self, keys: Iterable[str]) -> str:
@@ -149,5 +114,5 @@ class HashRing:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HashRing({len(self._replicas)} replicas x "
-            f"{self.vnodes} vnodes)"
+            f"{DEFAULT_VNODES} vnodes)"
         )

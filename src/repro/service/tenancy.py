@@ -378,7 +378,8 @@ class WorkerAutoscaler:
     :meth:`tick` is pure decision logic over the service's public
     signals, so tests drive it synchronously; the daemon runs
     :meth:`run` as a background task that ticks every
-    :data:`AUTOSCALE_INTERVAL_S` seconds.
+    :data:`AUTOSCALE_INTERVAL_S` seconds.  Its bounds are checked by
+    ``ServiceConfig``, the daemon being its only constructor.
     """
 
     def __init__(
@@ -387,15 +388,6 @@ class WorkerAutoscaler:
         minimum: int,
         maximum: int,
     ) -> None:
-        if minimum < 1:
-            raise ConfigurationError(
-                f"autoscale minimum must be >= 1: {minimum}"
-            )
-        if maximum < minimum:
-            raise ConfigurationError(
-                f"autoscale maximum must be >= minimum: "
-                f"{maximum} < {minimum}"
-            )
         self.service = service
         self.minimum = minimum
         self.maximum = maximum

@@ -85,7 +85,6 @@ class TestShapeClaims:
                 )
             for series in by_width.values():
                 series.sort()
-                sizes = [s for s, _ in series]
                 spans = [m for _, m in series]
                 assert spans == sorted(spans), (machine, series)
 

@@ -148,13 +148,15 @@ class ChaosWorker:
     """Stub worker under the plan's thumb: the chosen requests lose
     their worker (``BrokenExecutor``) on first dispatch; every request
     computes its product through a disk :class:`RunStore` so the
-    planted stale lease is actually contended."""
+    planted stale lease is actually contended.  ``lease_breaks`` sums
+    the stale leases its stores broke."""
 
     def __init__(self, plan: ChaosPlan, store_dir: str) -> None:
         self.plan = plan
         self.store_dir = store_dir
         self._lock = threading.Lock()
         self._crashed: set = set()
+        self.lease_breaks = 0
 
     def __call__(self, name, scale, store_path, check_invariants) -> str:
         idx = JOB_INDEX[(name, scale.seed)]
@@ -167,10 +169,13 @@ class ChaosWorker:
             lease_timeout=CHAOS_LEASE_TIMEOUT,
             poll_interval=0.02,
         )
-        return store.get_or_compute(
+        product = store.get_or_compute(
             product_payload(name, scale.seed),
             lambda: fault_free_product(name, scale.seed),
         )
+        with self._lock:
+            self.lease_breaks += store.counters.lease_breaks
+        return product
 
 
 def _corrupt_entries(plan: ChaosPlan, store_dir: Path) -> int:
@@ -237,7 +242,6 @@ def run_inprocess(seed: int) -> Dict[str, Any]:
             store_path=str(store_dir),
             journal_path=str(journal_path),
             retry=CHAOS_RETRY,
-            lease_timeout=CHAOS_LEASE_TIMEOUT,
         )
         service = SimulationService(
             config,
@@ -296,6 +300,7 @@ def run_inprocess(seed: int) -> Dict[str, Any]:
         store_counters = out["snapshot"]["store"]
         counters = out["snapshot"]["counters"]
         assert not lease.exists(), "stale lease never broken"
+        assert worker.lease_breaks >= 1, "no worker store broke a lease"
         if out["damaged"]:
             assert store_counters["integrity_failures"] >= out["damaged"]
         if plan.worker_kills:
@@ -312,7 +317,7 @@ def run_inprocess(seed: int) -> Dict[str, Any]:
             "retries": counters["retries"],
             "replacements": counters["worker_replacements"],
             "quarantined": store_counters["quarantined"],
-            "lease_breaks": store_counters["lease_breaks"],
+            "lease_breaks": worker.lease_breaks,
             **journal,
         }
 

@@ -947,6 +947,10 @@ class TestPeerRouteChecks:
                          id="steal-max_n-str"),
             pytest.param("/fleet/steal", {"thief": 7, "max_n": 1},
                          id="steal-thief-int"),
+            pytest.param("/fleet/steal", {"max_n": 1},
+                         id="steal-no-thief"),
+            pytest.param("/fleet/steal", {"thief": "r9"},
+                         id="steal-no-max_n"),
             pytest.param("/fleet/stolen",
                          {"entry_id": "x", "status": 200,
                           "payload": {"result": "t"}},
@@ -963,6 +967,9 @@ class TestPeerRouteChecks:
                          {"entry_id": _ENTRY, "status": 200,
                           "payload": "t"},
                          id="stolen-payload-str"),
+            pytest.param("/fleet/stolen",
+                         {"entry_id": _ENTRY, "status": 500},
+                         id="stolen-no-payload"),
             pytest.param("/fleet/membership",
                          {"members": [_RECORD, {"id": "r6", "port": 2}]},
                          id="membership-no-host"),

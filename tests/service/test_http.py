@@ -162,6 +162,14 @@ class TestWireLevel:
         )
         assert raw.startswith(b"HTTP/1.1 400")
 
+    def test_negative_content_length(self, served):
+        """A length that is not a string of decimal digits is a 400,
+        not a crash of the connection handler."""
+        raw = served.raw(
+            b"POST /run HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        )
+        assert raw.startswith(b"HTTP/1.1 400")
+
     def test_oversized_body_rejected(self, served):
         raw = served.raw(
             b"POST /run HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n"

@@ -16,6 +16,8 @@ from repro.faults import RetryPolicy
 from repro.obs import ServiceCounters
 from repro.service import (
     BulkJournal,
+    FleetConfig,
+    FleetMember,
     ServiceConfig,
     SimulationService,
     WorkerSupervisor,
@@ -25,7 +27,7 @@ from repro.service.requests import BULK, INTERACTIVE, SimRequest
 from repro.service.resilience import COMPLETED, DEAD_LETTERED, FAILED
 from repro.store import content_key
 
-from tests.service.conftest import quick_worker, run_async
+from tests.service.conftest import GatedWorker, quick_worker, run_async
 
 #: Tight retry budget so supervisor tests fail fast.
 FAST_RETRY = RetryPolicy(
@@ -276,26 +278,6 @@ class TestWorkerSupervisor:
         assert result == "ok"
         assert supervisor.generation == 1
 
-    def test_heartbeat_replaces_dead_idle_pool(self):
-        async def scenario():
-            supervisor, counters = make_supervisor(
-                heartbeat_interval=0.05
-            )
-            await supervisor.start()
-            try:
-                supervisor._pool.shutdown(wait=True)
-                for _ in range(100):
-                    if supervisor.generation:
-                        break
-                    await asyncio.sleep(0.02)
-                return supervisor.generation, counters
-            finally:
-                await supervisor.stop()
-
-        generation, counters = run_async(scenario())
-        assert generation == 1
-        assert counters.worker_replacements == 1
-
     def test_stopped_supervisor_refuses_work(self):
         async def scenario():
             supervisor, _counters = make_supervisor()
@@ -382,7 +364,7 @@ class TestWorkerSupervisor:
 
 def make_resilient_service(tmp_path, worker_fn=None, **overrides):
     config = ServiceConfig(
-        workers=2,
+        workers=overrides.pop("workers", 2),
         scale=SCALES["quick"],
         journal_path=str(tmp_path / "journal.jsonl"),
         retry=overrides.pop("retry", FAST_RETRY),
@@ -677,3 +659,133 @@ class TestCoalescingJournalRaces:
         assert [rec["outcome"] for rec in settles] == (
             [COMPLETED, COMPLETED]
         )
+
+
+async def _until(predicate):
+    while not predicate():
+        await asyncio.sleep(0.01)
+
+
+class TestSettleRoutes:
+    """Every route a journaled bulk request can finish by writes its
+    terminal record exactly once — or, cancelled, none."""
+
+    def test_replayed_duplicates_compute_once(self, tmp_path):
+        """Two open accepts for one key at restart: the second follows
+        the first's computation, and both settle completed."""
+        journal = BulkJournal(tmp_path / "journal.jsonl")
+        for _ in range(2):
+            journal.record_accept(
+                key="k", experiment="table2", scale="quick", seed=None
+            )
+        journal.sync()
+        journal.close()
+        calls = []
+
+        def counting_worker(name, scale, store_path, check_invariants):
+            calls.append(name)
+            return f"rendered {name}"
+
+        async def scenario():
+            service = make_resilient_service(
+                tmp_path, worker_fn=counting_worker
+            )
+            await service.start()
+            await service.drain()
+            await service.stop()
+
+        run_async(scenario())
+        assert calls == ["table2"]
+        _accepts, settles, _torn = BulkJournal.read(
+            tmp_path / "journal.jsonl"
+        )
+        assert sorted(rec["id"] for rec in settles) == [1, 2]
+        assert [rec["outcome"] for rec in settles] == (
+            [COMPLETED, COMPLETED]
+        )
+
+    def test_cancelled_dispatch_leaves_accept_open(self, tmp_path):
+        """A bulk request cancelled while its dispatch runs has no
+        terminal state: its accept stays open and the next start
+        replays it."""
+        gated = GatedWorker()
+
+        async def scenario():
+            service = make_resilient_service(tmp_path, worker_fn=gated)
+            await service.start()
+            task = asyncio.ensure_future(
+                service.submit(SimRequest("table2", priority=BULK))
+            )
+            await _until(lambda: service._busy)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            gated.release()
+            await service.stop()
+
+        run_async(scenario())
+        path = tmp_path / "journal.jsonl"
+        accepts, settles, _torn = BulkJournal.read(path)
+        assert len(accepts) == 1 and settles == []
+        fresh = BulkJournal(path)
+        assert [rec["id"] for rec in fresh.recover()] == (
+            [accepts[0]["id"]]
+        )
+
+    def _stolen_round(self, tmp_path, status, report):
+        """One bulk request queued behind an interactive holder of the
+        only worker, granted to a thief that reports ``status`` and
+        ``report``: ``(response, journal settles, worker calls)``."""
+        gated = GatedWorker()
+
+        async def scenario():
+            service = make_resilient_service(
+                tmp_path, worker_fn=gated, workers=1, bulk_cap=1.0
+            )
+            await service.start()
+            member = FleetMember(service, FleetConfig(steal_interval=60.0))
+            await member.start()
+            holder = asyncio.ensure_future(
+                service.submit(SimRequest("table1", seed=1))
+            )
+            await _until(lambda: service._busy)
+            waiter = asyncio.ensure_future(
+                service.submit(SimRequest("table1", seed=2, priority=BULK))
+            )
+            await _until(service.bulk_queue_depth)
+            (rec,) = await member.steal("r1", 1)
+            await member.stolen(rec["entry_id"], status, report)
+            gated.release()
+            response = await waiter
+            await holder
+            member.begin_close()
+            await member.wait_idle()
+            await member.finish_close()
+            await service.stop()
+            return response
+
+        response = run_async(scenario())
+        _accepts, settles, _torn = BulkJournal.read(
+            tmp_path / "journal.jsonl"
+        )
+        return response, settles, gated.calls
+
+    def test_stolen_ok_report_settles_completed(self, tmp_path):
+        response, settles, calls = self._stolen_round(
+            tmp_path, 200, {"status": "ok", "result": "rendered elsewhere"}
+        )
+        assert response.ok
+        assert response.payload["result"] == "rendered elsewhere"
+        assert [rec["outcome"] for rec in settles] == [COMPLETED]
+        assert calls == 1  # only the interactive holder ran here
+
+    def test_stolen_refusal_settles_once_after_local_compute(
+        self, tmp_path
+    ):
+        response, settles, calls = self._stolen_round(
+            tmp_path, 429, {"status": "rejected", "error": "full"}
+        )
+        assert response.ok
+        assert response.payload["result"] == "rendered table1 seed=2"
+        assert [rec["outcome"] for rec in settles] == [COMPLETED]
+        assert calls == 2  # the requeued entry computed locally

@@ -5,8 +5,7 @@ function of the member list — so these tests pin the properties that
 make that safe: determinism across construction orders and across
 processes (a subprocess recomputes the same assignment digest), and
 stability under membership change (add moves only the keys the new
-replica takes, ≈K/N of them; remove moves only the removed replica's
-keys, each to the owner it would have had anyway).
+replica takes, ≈K/N of them).
 """
 
 import hashlib
@@ -30,7 +29,6 @@ class TestBasics:
     def test_empty_ring_owns_nothing(self):
         ring = HashRing()
         assert ring.owner("abc") is None
-        assert ring.owners("abc", 2) == []
         assert len(ring) == 0
 
     def test_single_replica_owns_everything(self):
@@ -43,9 +41,6 @@ class TestBasics:
         assert ring.replicas == ["r0", "r1"]
         ring.add("r2")
         assert len(ring) == 3
-        ring.remove("r2")
-        ring.remove("r2")  # idempotent
-        assert len(ring) == 2
 
     def test_add_is_idempotent(self):
         ring = HashRing(["r0"])
@@ -55,18 +50,7 @@ class TestBasics:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
-            HashRing(vnodes=0)
-        with pytest.raises(ConfigurationError):
             HashRing([""])
-
-    def test_owners_distinct_and_ordered(self):
-        ring = HashRing(["r0", "r1", "r2"])
-        for key in _keys(20):
-            owners = ring.owners(key, 2)
-            assert len(owners) == 2
-            assert len(set(owners)) == 2
-            assert owners[0] == ring.owner(key)
-        assert len(ring.owners("k", 5)) == 3  # capped at membership
 
 
 class TestDeterminism:
@@ -144,20 +128,6 @@ class TestStability:
         moved = sum(ring.owner(k) != before[k] for k in keys)
         expected = len(keys) / 4
         assert 0.4 * expected < moved < 2.0 * expected
-
-    def test_remove_is_exact_inverse_of_absence(self):
-        """Removing r2 reassigns each of its keys to exactly the
-        owner it would have had if r2 never existed — an exact
-        property of the construction, no tolerance needed."""
-        keys = _keys(1000)
-        with_r2 = HashRing(["r0", "r1", "r2"])
-        without_r2 = HashRing(["r0", "r1"])
-        before = {k: with_r2.owner(k) for k in keys}
-        with_r2.remove("r2")
-        for key in keys:
-            assert with_r2.owner(key) == without_r2.owner(key)
-            if before[key] != "r2":
-                assert with_r2.owner(key) == before[key]
 
     def test_ownership_roughly_balanced(self):
         """With DEFAULT_VNODES the max/mean ownership skew stays

@@ -697,11 +697,12 @@ class _FakeService:
 
 class TestAutoscaler:
     def test_validation(self):
-        service = _FakeService()
+        # ServiceConfig checks the bounds: the daemon builds the
+        # autoscaler from it and nothing else constructs one.
         with pytest.raises(ConfigurationError):
-            WorkerAutoscaler(service, 0, 4)
+            ServiceConfig(autoscale_min=0, autoscale_max=4)
         with pytest.raises(ConfigurationError):
-            WorkerAutoscaler(service, 4, 2)
+            ServiceConfig(autoscale_min=4, autoscale_max=2)
 
     def test_grow_needs_patience(self):
         service = _FakeService(workers=2, bulk_cap=0.5)
