@@ -91,9 +91,18 @@ from repro.workload import (
     write_swf,
 )
 
-from repro.version import repro_version
 
-__version__ = repro_version()
+def __getattr__(name: str):
+    """Resolve ``__version__`` on first access: reading the
+    distribution metadata imports :mod:`importlib.metadata`, which
+    ``import repro`` itself does not need."""
+    if name == "__version__":
+        from repro.version import repro_version
+
+        version = globals()["__version__"] = repro_version()
+        return version
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -15,14 +15,21 @@ rebuild the running-job release list on every pass — is what
 what dominated continual-mode profiles.  This class produces the same
 decisions from incrementally maintained structures:
 
-* the pending queue is kept sorted by the time-shift-invariant
-  :meth:`~repro.sched.priority.PriorityPolicy.rank_key` and only
-  re-keyed when :attr:`~repro.sched.priority.PriorityPolicy.priority_version`
-  bumps (a fair-share charge actually changed relative priorities);
-  submissions insert with ``bisect`` and the head job is ``_order[0]``;
+* the pending queue is bucketed by fair-share class, each bucket
+  sorted by the time-invariant part of
+  :meth:`~repro.sched.priority.PriorityPolicy.rank_key`, beside one
+  factor per class that is refreshed only when
+  :attr:`~repro.sched.priority.PriorityPolicy.priority_version` bumps
+  (a fair-share charge actually changed relative priorities);
+* an EASY or NONE pass orders only the jobs it could start — the
+  in-turn prefix merged from the class heads, the blocked job and the
+  later jobs narrow enough for what the prefix leaves free — while
+  CONSERVATIVE backfill, which reserves every queued job, keeps the
+  whole order materialized;
 * queue membership is a dict keyed by job id (submission order for
   ``pending_jobs``, O(1) removal on start) beside a sorted multiset of
-  queued widths, whose first element gates whole passes;
+  queued ``(width, job id)`` pairs, whose first element gates whole
+  passes and whose prefix holds the jobs a given free count can fit;
 * release claims come from the cluster's sorted timeline (or, with a
   predictor, from a cache keyed on ``(cluster.epoch, predictor.version)``)
   instead of a rebuild-and-sort of ``cluster.running``;
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,6 +71,13 @@ ClassEntry = Tuple[float, float, int, Job]
 #: compares the entries themselves, not key tuples nested in pairs;
 #: unique ids again keep ``job`` out of every comparison.
 OrderEntry = Tuple[float, float, int, Job]
+
+#: A fair-share class: ``(user, group)``.
+ClassKey = Tuple[str, str]
+
+#: One queued job in the width multiset: ``(cpus, job_id, class,
+#: class entry)``.  Unique ids keep comparisons to ``(cpus, job_id)``.
+WidthEntry = Tuple[int, int, ClassKey, ClassEntry]
 
 
 class BackfillMode(enum.Enum):
@@ -114,28 +129,39 @@ class QueueScheduler(Scheduler):
         #: Queued jobs by id, in submission order (what
         #: ``pending_jobs`` reports, unchanged from the naive scheduler).
         self._queue: Dict[int, Job] = {}
-        #: CPU requests of the queued jobs, ascending (a multiset: one
-        #: element per job).  ``_widths[0]`` is the narrowest request.
-        self._widths: List[int] = []
-        #: The same jobs as flat :data:`OrderEntry` tuples, ascending —
-        #: i.e. the descending-priority order every pass needs.  Valid
-        #: while ``_order_version == policy.priority_version``.
-        self._order: List[OrderEntry] = []
-        self._order_version = -1
+        #: The queued jobs as :data:`WidthEntry` tuples, ascending by
+        #: ``(cpus, job_id)`` (a multiset of widths, one element per
+        #: job).  ``_widths[0][0]`` is the narrowest request; the jobs
+        #: that fit ``n`` CPUs are the prefix up to
+        #: ``bisect_left(_widths, (n + 1,))``.
+        self._widths: List[WidthEntry] = []
         #: Queued jobs bucketed by fair-share class ``(user, group)``,
         #: each bucket ascending by ``(wait_term, submit, job_id)``
         #: where ``wait_term = wait_weight * submit / 86400`` is the
         #: precomputed time-invariant component of ``rank_key``.  All
         #: jobs of one class share their fair-share factor, and within
         #: a class the relative order never changes — so a re-key costs
-        #: one factor evaluation per *class* plus a merge of sorted
-        #: runs, not a factor evaluation per queued job.
-        self._classes: Dict[Tuple[str, str], List[ClassEntry]] = {}
+        #: one factor evaluation per *class*, not per queued job, and a
+        #: bucket's first entry is its class's best job.
+        self._classes: Dict[ClassKey, List[ClassEntry]] = {}
+        #: Fair-share factor of each queued class (and of classes that
+        #: were queued since the last re-key).  Valid while
+        #: ``_factors_version == policy.priority_version``.
+        self._factors: Dict[ClassKey, float] = {}
+        self._factors_version = -1
         #: Bumped whenever queue membership changes (submit / start).
         self._membership_version = 0
+        #: ``head_job``'s answer, cached per (factors version,
+        #: membership version).
+        self._head: Optional[Job] = None
+        self._head_key: Tuple[int, int] = (-1, -1)
+        #: CONSERVATIVE backfill only, which reserves every queued job:
+        #: the queued jobs as flat :data:`OrderEntry` tuples, ascending
+        #: — the whole descending-priority order — valid with the
+        #: factors.  EASY and NONE passes never build it.
+        self._order: List[OrderEntry] = []
         #: ``[entry[3] for entry in _order]``, cached per
-        #: (order version, membership version) — the per-pass projection
-        #: every selection needs.
+        #: (factors version, membership version).
         self._ordered_jobs: List[Job] = []
         self._ordered_key: Tuple[int, int] = (-1, -1)
         #: Time-of-day-eligible projection of ``_ordered_jobs``, cached
@@ -169,21 +195,28 @@ class QueueScheduler(Scheduler):
     # ------------------------------------------------------------------
     def submit(self, job: Job, t: float) -> None:
         self._queue[job.job_id] = job
-        bisect.insort(self._widths, job.cpus)
         self._membership_version += 1
-        entry = (
-            self.policy.wait_weight * job.submit_time / 86400.0,
-            job.submit_time,
-            job.job_id,
-            job,
-        )
-        bucket = self._classes.setdefault((job.user, job.group), [])
-        bisect.insort(bucket, entry)
-        if self._order_version == self.policy.priority_version:
+        wt = self.policy.wait_weight * job.submit_time / 86400.0
+        key = (job.user, job.group)
+        entry = (wt, job.submit_time, job.job_id, job)
+        bisect.insort(self._classes.setdefault(key, []), entry)
+        bisect.insort(self._widths, (job.cpus, job.job_id, key, entry))
+        if self._factors_version != self.policy.priority_version:
+            return
+        factor = self._factors.get(key)
+        if factor is None:
+            # A class new to the queue: its factor is fixed now, by
+            # the query rank_key makes (a known class's was fixed at
+            # the re-key, and the tracker memoizes it per version).
+            factor = self.policy.fair_share_factor(job, t)
+            self._factors[key] = factor
+        if self.backfill is BackfillMode.CONSERVATIVE:
             # Keys are comparable across the passes of one priority
             # version (rank_key is time-shift invariant), so a single
             # bisect keeps the order sorted without touching the rest.
-            bisect.insort(self._order, (*self.policy.rank_key(job, t), job))
+            bisect.insort(
+                self._order, (wt - factor, job.submit_time, job.job_id, job)
+            )
 
     def on_finish(self, jobs: Sequence[Job], t: float) -> None:
         self.policy.on_finish(jobs, t)
@@ -205,7 +238,8 @@ class QueueScheduler(Scheduler):
         if self._can_skip(t, cluster):
             self.n_pass_skips += 1
             return []
-        if self._widths[0] > cluster.free_cpus:
+        free_cpus = cluster.free_cpus
+        if self._widths[0][0] > free_cpus:
             # Capacity gate: every backfill mode starts a job only when
             # it fits the instantaneous free CPUs, so when even the
             # narrowest queued job is too wide the pass cannot start
@@ -213,40 +247,24 @@ class QueueScheduler(Scheduler):
             # need not be re-keyed.
             self.n_pass_skips += 1
             return []
-        self._ensure_order(t)
-        ordered_key = (self._order_version, self._membership_version)
-        if self._ordered_key != ordered_key:
-            self._ordered_jobs = [entry[3] for entry in self._order]
-            self._ordered_key = ordered_key
-        ordered = self._ordered_jobs
-        if self.timeofday is None:
-            eligible = ordered
-        elif not self.timeofday.is_daytime(t):
-            # Nighttime (and free weekends): every queued job may start.
-            eligible = ordered
-        else:
-            # Daytime eligibility is a pure width filter, so the
-            # projection is reusable until the order or phase changes.
-            eligible_key = (ordered_key, True)
-            if self._eligible_key != eligible_key:
-                limit = self.timeofday.max_day_cpus
-                self._eligible_jobs = [j for j in ordered if j.cpus <= limit]
-                self._eligible_key = eligible_key
-            eligible = self._eligible_jobs
+        self._ensure_factors(t)
         releases = self._release_claims(cluster)
-        if self.backfill is BackfillMode.CONSERVATIVE:
+        conservative = self.backfill is BackfillMode.CONSERVATIVE
+        if conservative:
+            candidates = self._eligible_order(t)
             starts = select_conservative(
                 t,
-                eligible,
+                candidates,
                 cluster.available_cpus,
                 releases,
                 self._estimate,
             )
         else:
+            candidates = self._startable_view(t, free_cpus)
             starts = select_easy(
                 t,
-                eligible,
-                cluster.free_cpus,
+                candidates,
+                free_cpus,
                 releases,
                 self._estimate,
                 backfill=self.backfill is BackfillMode.EASY,
@@ -258,30 +276,43 @@ class QueueScheduler(Scheduler):
         # A start is a *backfill* start when some higher-priority
         # eligible job stayed queued — the job jumped a blocked
         # predecessor rather than running in turn.  Every start is an
-        # eligible job, so all but the leading run of started jobs did.
+        # eligible job, so all but the leading run of started jobs did;
+        # the startable view leads with the same run as the full order.
         in_turn = 0
-        for job in eligible:
+        for job in candidates:
             if job.job_id not in started_ids:
                 break
             in_turn += 1
         self.n_backfill_starts += len(starts) - in_turn
-        self._order = [
-            entry for entry in self._order if entry[2] not in started_ids
-        ]
+        if conservative:
+            self._order = [
+                entry for entry in self._order
+                if entry[2] not in started_ids
+            ]
         queue, widths = self._queue, self._widths
         for job in starts:
             del queue[job.job_id]
-            del widths[bisect.bisect_left(widths, job.cpus)]
+            del widths[bisect.bisect_left(widths, (job.cpus, job.job_id))]
             self._remove_from_class(job)
         self._membership_version += 1
         self._no_start_state = None
         return starts
 
     def head_job(self, t: float):
+        """The top-priority queued job, eligible or not: the best of
+        the class heads, as the first entry of the full order is."""
         if not self._queue:
             return None
-        self._ensure_order(t)
-        return self._order[0][3]
+        self._ensure_factors(t)
+        key = (self._factors_version, self._membership_version)
+        if self._head_key != key:
+            factors = self._factors
+            self._head = min(
+                (b[0][0] - factors[cls], b[0][1], b[0][2], b[0][3])
+                for cls, b in self._classes.items()
+            )[3]
+            self._head_key = key
+        return self._head
 
     def head_start_estimate(self, t: float, cluster: ClusterState) -> float:
         """The paper's ``backfillWallTime``: expected earliest start of
@@ -299,42 +330,132 @@ class QueueScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Incremental maintenance internals
     # ------------------------------------------------------------------
-    def _ensure_order(self, t: float) -> None:
-        """(Re)key the priority order if charges invalidated it.
+    def _ensure_factors(self, t: float) -> None:
+        """Re-key: refresh the class factor table if charges
+        invalidated it.
 
         Costs one fair-share factor per *class* — not per job — because
         every job of a class shares its factor, and ``wt - f`` (with
         ``wt`` the wait term precomputed at submit) is float-for-float
         the expression :meth:`~PriorityPolicy.rank_key` evaluates.  The
         factors of all classes come from one
-        :meth:`~PriorityPolicy.class_factors` call.
-        Each class bucket is already a sorted run of the final order,
-        so the concatenation sorts in O(n log(classes)) merge passes.
-        Entries embed ``(submit_time, job_id)`` right after the key, so
-        exact key ties fall through to the same tie-break as
+        :meth:`~PriorityPolicy.class_factors` call.  Under CONSERVATIVE
+        backfill the re-key also rebuilds the full order: each class
+        bucket is already a sorted run of it, so the concatenation
+        sorts in O(n log(classes)) merge passes.  Entries embed
+        ``(submit_time, job_id)`` right after the key, so exact key
+        ties fall through to the same tie-break as
         :meth:`~PriorityPolicy.sort_key`, and jobs are never compared.
         """
         version = self.policy.priority_version
-        if self._order_version == version:
+        if self._factors_version == version:
             return
         timers = self.timers
         if timers is not None:
             timers.start("priority_maintenance")
-        buckets = list(self._classes.values())
+        classes = self._classes
         factors = self.policy.class_factors(
-            [bucket[0][3] for bucket in buckets], t
+            [bucket[0][3] for bucket in classes.values()], t
         )
-        entries: List[OrderEntry] = [
-            (wt - f, s, jid, job)
-            for bucket, f in zip(buckets, factors)
-            for wt, s, jid, job in bucket
-        ]
-        entries.sort()
-        self._order = entries
-        self._order_version = version
+        self._factors = dict(zip(classes, factors))
+        self._factors_version = version
         self.n_priority_rekeys += 1
+        if self.backfill is BackfillMode.CONSERVATIVE:
+            entries: List[OrderEntry] = [
+                (wt - f, s, jid, job)
+                for bucket, f in zip(classes.values(), factors)
+                for wt, s, jid, job in bucket
+            ]
+            entries.sort()
+            self._order = entries
         if timers is not None:
             timers.stop("priority_maintenance")
+
+    def _eligible_order(self, t: float) -> List[Job]:
+        """The time-of-day-eligible queued jobs in priority order (the
+        CONSERVATIVE planner's input), projected from ``_order``."""
+        ordered_key = (self._factors_version, self._membership_version)
+        if self._ordered_key != ordered_key:
+            self._ordered_jobs = [entry[3] for entry in self._order]
+            self._ordered_key = ordered_key
+        ordered = self._ordered_jobs
+        if self.timeofday is None or not self.timeofday.is_daytime(t):
+            # Nighttime (and free weekends): every queued job may start.
+            return ordered
+        # Daytime eligibility is a pure width filter, so the projection
+        # is reusable until the order or phase changes.
+        eligible_key = (ordered_key, True)
+        if self._eligible_key != eligible_key:
+            limit = self.timeofday.max_day_cpus
+            self._eligible_jobs = [j for j in ordered if j.cpus <= limit]
+            self._eligible_key = eligible_key
+        return self._eligible_jobs
+
+    def _startable_view(self, t: float, free_cpus: int) -> List[Job]:
+        """The eligible jobs an EASY or NONE pass could start, in
+        priority order: the in-turn prefix, the blocked job, and the
+        later jobs narrow enough for what the prefix leaves free.
+
+        :func:`select_easy` returns the same starts over this view as
+        over the full eligible order.  The prefix and the blocked job
+        are the full order's leading jobs, merged from the class heads
+        (each class's first eligible entry).  After them the full order
+        holds only later jobs, and one wider than the CPUs the prefix
+        leaves free can never start: backfill starts only lower the
+        free count further.  The shadow comes from the same live
+        claims, so the starts, and their order, are the same.
+        """
+        limit = None
+        if self.timeofday is not None and self.timeofday.is_daytime(t):
+            limit = self.timeofday.max_day_cpus
+        factors = self._factors
+        heads = []
+        for cls, bucket in self._classes.items():
+            if limit is None:
+                wt, s, jid, job = bucket[0]
+                i = 0
+            else:
+                for i, (wt, s, jid, job) in enumerate(bucket):
+                    if job.cpus <= limit:
+                        break
+                else:
+                    continue  # nothing of this class may start by day
+            f = factors[cls]
+            heads.append((wt - f, s, jid, job, f, i, bucket))
+        heapq.heapify(heads)
+        free = float(free_cpus)
+        view: List[Job] = []
+        while heads:
+            _key, _s, _jid, job, f, i, bucket = heads[0]
+            view.append(job)
+            if job.cpus > free:
+                break  # the blocked job: no later job starts in turn
+            free -= job.cpus
+            for i in range(i + 1, len(bucket)):
+                wt, s, jid, nxt = bucket[i]
+                if limit is None or nxt.cpus <= limit:
+                    heapq.heapreplace(
+                        heads, (wt - f, s, jid, nxt, f, i, bucket)
+                    )
+                    break
+            else:
+                heapq.heappop(heads)
+        else:
+            return view  # every eligible job starts in turn
+        if self.backfill is not BackfillMode.EASY:
+            return view
+        fits = int(free) if limit is None else min(int(free), limit)
+        widths = self._widths
+        end = bisect.bisect_left(widths, (fits + 1,))
+        # The prefix may be narrow enough to show up again below.
+        taken = {job.job_id for job in view} if len(view) > 1 else ()
+        later: List[OrderEntry] = []
+        for _cpus, jid, cls, (wt, s, _jid, job) in widths[:end]:
+            if jid not in taken:
+                later.append((wt - factors[cls], s, jid, job))
+        later.sort()
+        view.extend([entry[3] for entry in later])
+        return view
 
     def _remove_from_class(self, job: Job) -> None:
         """Drop a started job from its class bucket."""

@@ -512,15 +512,22 @@ class FleetMember:
                     continue
                 if not grants:
                     continue
-                self.counters.steals += len(grants)
                 for rec in grants:
-                    request = SimRequest.from_payload(rec["request"])
+                    # A malformed grant is skipped: the victim's steal
+                    # deadline requeues its entry.
+                    grant = typed_fields(rec, entry_id=int, request=dict)
+                    if grant is None:
+                        continue
+                    entry_id, payload = grant
+                    try:
+                        request = SimRequest.from_payload(payload)
+                    except ServiceError:
+                        continue
+                    self.counters.steals += 1
                     owner, key = self._remote_owner(request)
                     self._stolen_in.append(key)
                     self._spawn(
-                        self._run_stolen(
-                            victim, rec["entry_id"], request, owner, key
-                        )
+                        self._run_stolen(victim, entry_id, request, owner, key)
                     )
                 break
             rotation += 1

@@ -32,6 +32,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.base import InterstitialSource
     from repro.sched.base import Scheduler
 
+
+def weighted_index(rng: np.random.Generator, weights: List[int]) -> int:
+    """Index into ``weights`` drawn with probability proportional to
+    its weight.
+
+    This is the sampling step of ``rng.choice(len(weights), p=p /
+    p.sum())`` with ``p`` the weights as floats: the same cumulative
+    sum, the same normalisation and one ``rng.random()`` draw, so it
+    returns the same index and leaves ``rng`` in the same state,
+    without ``choice``'s per-call validation of ``p``.
+    """
+    p = np.array(weights, dtype=float)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Engine knobs.
@@ -514,8 +531,7 @@ class Engine:
         picks: list = []
         rng = self._victim_rng
         while hits > 0 and widths:
-            p = np.array(widths, dtype=float)
-            index = int(rng.choice(len(widths), p=p / p.sum()))
+            index = weighted_index(rng, widths)
             hits -= min(hits, widths.pop(index))
             picks.append(
                 records.pop(index) if members is None

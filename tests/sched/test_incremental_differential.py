@@ -19,7 +19,8 @@ the reference by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+import itertools
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from repro.core.runners import (
 )
 from repro.elastic import ElasticInterstitialController, ElasticitySpec
 from repro.faults import FaultModel
-from repro.jobs import InterstitialProject
+from repro.jobs import InterstitialProject, Job
 from repro.machines import Machine
 from repro.obs import MemoryRecorder
 from repro.sched import (
@@ -252,4 +253,84 @@ def test_pass_skips_and_rekeys_are_exercised() -> None:
         result.counters.scheduling_passes
         > result.counters.pass_skips
         + result.counters.priority_rekeys
+    )
+
+
+# ----------------------------------------------------------------------
+# Long queues
+# ----------------------------------------------------------------------
+#: Depth every long-queue case must exceed.  EASY and NONE passes order
+#: only a short startable view of the queue, which the 40-job sweep
+#: above never makes much shorter than the queue itself.
+LONG_QUEUE_PEAK = 100
+
+#: (policy, backfill, time-of-day, faults): every combination.
+LONG_CASES = list(itertools.product(
+    POLICIES,
+    (BackfillMode.NONE, BackfillMode.EASY),
+    (False, True),
+    (False, True),
+))
+
+
+def _long_trace(seed: int, machine: Machine) -> List[Job]:
+    """400 jobs from 48 fair-share classes submitted from 05:00 to
+    11:00, widths up to half the machine: the queue grows to hundreds
+    and the runs cross the 07:00 daytime boundary."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for i in range(400):
+        runtime = float(rng.uniform(10.0, 5000.0))
+        job = Job(
+            cpus=int(rng.integers(1, machine.cpus // 2 + 1)),
+            runtime=runtime,
+            estimate=runtime * float(rng.uniform(1.0, 8.0)),
+            submit_time=float(rng.uniform(18_000.0, 39_600.0)),
+            user=f"u{int(rng.integers(0, 12))}",
+            group=f"g{int(rng.integers(0, 4))}",
+        )
+        job.job_id = i + 1
+        jobs.append(job)
+    return jobs
+
+
+def _long_run(
+    case_index: int, scheduler_cls: type
+) -> Tuple[SimResult, MemoryRecorder]:
+    policy_cls, backfill, with_timeofday, with_faults = LONG_CASES[case_index]
+    machine = Machine(name="LongBox", cpus=96, clock_ghz=1.0)
+    faults = (
+        FaultModel(mtbf=9.0e4, mttr=1800.0, cpus_per_node=8, seed=case_index)
+        if with_faults
+        else None
+    )
+    scheduler = scheduler_cls(
+        policy=policy_cls(),
+        backfill=backfill,
+        timeofday=(
+            TimeOfDayPolicy(max_day_cpus=machine.cpus // 4)
+            if with_timeofday
+            else None
+        ),
+    )
+    recorder = MemoryRecorder()
+    result = run_native(
+        machine, _long_trace(case_index + 2000, machine),
+        scheduler=scheduler, faults=faults, recorder=recorder,
+    )
+    return result, recorder
+
+
+@pytest.mark.parametrize("case_index", range(len(LONG_CASES)))
+def test_long_queue_matches_reference(case_index: int) -> None:
+    inc_result, inc_rec = _long_run(case_index, QueueScheduler)
+    ref_result, ref_rec = _long_run(case_index, ReferenceQueueScheduler)
+    assert max(r.queue_depth for r in inc_rec.records) > LONG_QUEUE_PEAK
+    assert inc_rec.to_jsonl() == ref_rec.to_jsonl()
+    assert _comparable(_fingerprint(inc_result)) == _comparable(
+        _fingerprint(ref_result)
+    )
+    assert (
+        inc_result.counters.backfill_starts
+        == ref_result.counters.backfill_starts
     )

@@ -445,6 +445,52 @@ class TestWorkStealing:
 
             assert fleet._await(close()), "finish_close hung"
 
+    def test_malformed_grant_does_not_stop_stealing(self):
+        """A grant that is not a valid request is skipped: the thief
+        keeps stealing, counts only the grants it accepted, and closes
+        cleanly (the victim's deadline requeues the skipped entry)."""
+        with _fleet(2) as fleet:
+            member = fleet.members[0]
+            (seed,) = _seeds_owned_by(member, "r0", 1, 990)
+            valid = {"experiment": "table1", "seed": seed,
+                     "priority": "bulk"}
+
+            class MalformedPeer:
+                def __init__(self):
+                    self.calls = 0
+                    self.reported = []
+
+                async def steal(self, thief, max_n):
+                    self.calls += 1
+                    if self.calls == 1:
+                        return [{"entry_id": 1, "request": {
+                            "experiment": "table1", "bogus": 1}}]
+                    if self.calls == 2:
+                        return ["not a grant", {"entry_id": "2"},
+                                {"entry_id": 3, "request": valid}]
+                    return []
+
+                async def stolen(self, entry_id, status, payload):
+                    self.reported.append((entry_id, status))
+
+            async def scenario():
+                peer = MalformedPeer()
+                member.peers["r1"] = peer
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 3.0
+                while (peer.calls < 4 or not peer.reported) and (
+                    loop.time() < deadline
+                ):
+                    await asyncio.sleep(0.01)
+                member.begin_close()
+                await asyncio.wait_for(member.finish_close(), 5.0)
+                return peer.calls, peer.reported, member.counters.steals
+
+            calls, reported, steals = fleet._await(scenario())
+            assert calls >= 4
+            assert reported == [(3, 200)]
+            assert steals == 1
+
     def test_draining_member_grants_nothing(self):
         with _fleet(2) as fleet:
             member = fleet.members[0]

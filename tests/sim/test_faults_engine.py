@@ -16,7 +16,7 @@ from repro.errors import SimulationError
 from repro.faults import FaultModel, FaultSchedule, NodeFault, RetryPolicy
 from repro.jobs import InterstitialProject, JobKind, JobState
 from repro.machines import Machine
-from repro.sim.engine import Engine, SimConfig
+from repro.sim.engine import Engine, SimConfig, weighted_index
 
 from tests.conftest import fcfs, make_job, random_native_trace
 
@@ -263,6 +263,28 @@ class TestReproducibility:
         plain = self._run(trace, check_invariants=False)
         checked = self._run(trace, check_invariants=True)
         assert self._fingerprint(plain) == self._fingerprint(checked)
+
+
+class TestVictimDraw:
+    def test_weighted_index_is_numpys_choice(self):
+        """The victim draw is ``Generator.choice``'s sampling step: over
+        seeded random integer widths it picks the same index and leaves
+        the generator in the same state."""
+        source = np.random.default_rng(2003)
+        for _ in range(300):
+            widths = [
+                int(w) for w in source.integers(
+                    1, 513, size=int(source.integers(1, 300))
+                )
+            ]
+            seed = int(source.integers(0, 2**32))
+            ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+            p = np.array(widths, dtype=float)
+            for _draw in range(3):
+                assert weighted_index(ours, widths) == int(
+                    theirs.choice(len(widths), p=p / p.sum())
+                )
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def _invariant_checks(machine, config=None) -> int:

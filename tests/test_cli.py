@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,22 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("repro ")
         assert out.split()[1][0].isdigit()
+
+    def test_import_leaves_version_unresolved(self):
+        """``import repro`` does not read the distribution metadata;
+        ``repro.__version__`` does, on first access."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys, repro\n"
+            "print('repro.version' in sys.modules)\n"
+            "print(repro.__version__ == repro.version.repro_version())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert out == ["False", "True"]
 
     def test_list(self, capsys):
         assert main(["list"]) == 0
