@@ -128,7 +128,6 @@ def select_easy(
         if fits_shadow or fits_extra:
             starts.append(job)
             free -= job.cpus
-            live.append((t + estimate(job), job.cpus, 1))
             if not fits_shadow:
                 extra -= job.cpus
     return starts

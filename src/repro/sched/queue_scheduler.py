@@ -21,11 +21,11 @@ decisions from incrementally maintained structures:
   factor per class that is refreshed only when
   :attr:`~repro.sched.priority.PriorityPolicy.priority_version` bumps
   (a fair-share charge actually changed relative priorities);
-* an EASY or NONE pass orders only the jobs it could start — the
-  in-turn prefix merged from the class heads, the blocked job and the
-  later jobs narrow enough for what the prefix leaves free — while
-  CONSERVATIVE backfill, which reserves every queued job, keeps the
-  whole order materialized;
+* no pass reuses a priority order: an EASY or NONE pass orders only
+  the jobs it could start — the in-turn prefix merged from the class
+  heads, the blocked job and the later jobs narrow enough for what the
+  prefix leaves free — and a CONSERVATIVE pass, which reserves every
+  eligible job, sorts the keyed buckets;
 * queue membership is a dict keyed by job id (submission order for
   ``pending_jobs``, O(1) removal on start) beside a sorted multiset of
   queued ``(width, job id)`` pairs, whose first element gates whole
@@ -155,20 +155,6 @@ class QueueScheduler(Scheduler):
         #: membership version).
         self._head: Optional[Job] = None
         self._head_key: Tuple[int, int] = (-1, -1)
-        #: CONSERVATIVE backfill only, which reserves every queued job:
-        #: the queued jobs as flat :data:`OrderEntry` tuples, ascending
-        #: — the whole descending-priority order — valid with the
-        #: factors.  EASY and NONE passes never build it.
-        self._order: List[OrderEntry] = []
-        #: ``[entry[3] for entry in _order]``, cached per
-        #: (factors version, membership version).
-        self._ordered_jobs: List[Job] = []
-        self._ordered_key: Tuple[int, int] = (-1, -1)
-        #: Time-of-day-eligible projection of ``_ordered_jobs``, cached
-        #: per (ordered key, daytime phase): eligibility only depends on
-        #: job width and the day/night phase, not on the exact instant.
-        self._eligible_jobs: List[Job] = []
-        self._eligible_key: Tuple[Tuple[int, int], bool] = ((-1, -1), False)
         #: Predictor-corrected release claims, sorted by (finish, cpus,
         #: count), cached per ``(cluster.epoch, predictor.version)``.
         self._claims_cache: List[Tuple[float, float, int]] = []
@@ -201,22 +187,14 @@ class QueueScheduler(Scheduler):
         entry = (wt, job.submit_time, job.job_id, job)
         bisect.insort(self._classes.setdefault(key, []), entry)
         bisect.insort(self._widths, (job.cpus, job.job_id, key, entry))
-        if self._factors_version != self.policy.priority_version:
-            return
-        factor = self._factors.get(key)
-        if factor is None:
+        if (
+            self._factors_version == self.policy.priority_version
+            and key not in self._factors
+        ):
             # A class new to the queue: its factor is fixed now, by
             # the query rank_key makes (a known class's was fixed at
             # the re-key, and the tracker memoizes it per version).
-            factor = self.policy.fair_share_factor(job, t)
-            self._factors[key] = factor
-        if self.backfill is BackfillMode.CONSERVATIVE:
-            # Keys are comparable across the passes of one priority
-            # version (rank_key is time-shift invariant), so a single
-            # bisect keeps the order sorted without touching the rest.
-            bisect.insort(
-                self._order, (wt - factor, job.submit_time, job.job_id, job)
-            )
+            self._factors[key] = self.policy.fair_share_factor(job, t)
 
     def on_finish(self, jobs: Sequence[Job], t: float) -> None:
         self.policy.on_finish(jobs, t)
@@ -249,8 +227,7 @@ class QueueScheduler(Scheduler):
             return []
         self._ensure_factors(t)
         releases = self._release_claims(cluster)
-        conservative = self.backfill is BackfillMode.CONSERVATIVE
-        if conservative:
+        if self.backfill is BackfillMode.CONSERVATIVE:
             candidates = self._eligible_order(t)
             starts = select_conservative(
                 t,
@@ -284,11 +261,6 @@ class QueueScheduler(Scheduler):
                 break
             in_turn += 1
         self.n_backfill_starts += len(starts) - in_turn
-        if conservative:
-            self._order = [
-                entry for entry in self._order
-                if entry[2] not in started_ids
-            ]
         queue, widths = self._queue, self._widths
         for job in starts:
             del queue[job.job_id]
@@ -339,13 +311,8 @@ class QueueScheduler(Scheduler):
         ``wt`` the wait term precomputed at submit) is float-for-float
         the expression :meth:`~PriorityPolicy.rank_key` evaluates.  The
         factors of all classes come from one
-        :meth:`~PriorityPolicy.class_factors` call.  Under CONSERVATIVE
-        backfill the re-key also rebuilds the full order: each class
-        bucket is already a sorted run of it, so the concatenation
-        sorts in O(n log(classes)) merge passes.  Entries embed
-        ``(submit_time, job_id)`` right after the key, so exact key
-        ties fall through to the same tie-break as
-        :meth:`~PriorityPolicy.sort_key`, and jobs are never compared.
+        :meth:`~PriorityPolicy.class_factors` call.  Passes key the
+        jobs they order from this table; no order is kept.
         """
         version = self.policy.priority_version
         if self._factors_version == version:
@@ -360,36 +327,37 @@ class QueueScheduler(Scheduler):
         self._factors = dict(zip(classes, factors))
         self._factors_version = version
         self.n_priority_rekeys += 1
-        if self.backfill is BackfillMode.CONSERVATIVE:
-            entries: List[OrderEntry] = [
-                (wt - f, s, jid, job)
-                for bucket, f in zip(classes.values(), factors)
-                for wt, s, jid, job in bucket
-            ]
-            entries.sort()
-            self._order = entries
         if timers is not None:
             timers.stop("priority_maintenance")
 
+    def _day_limit(self, t: float) -> Optional[int]:
+        """The widest job that may start at ``t``, or None when any may:
+        by day, a time-of-day policy holds the wider jobs."""
+        if self.timeofday is not None and self.timeofday.is_daytime(t):
+            return self.timeofday.max_day_cpus
+        return None
+
     def _eligible_order(self, t: float) -> List[Job]:
-        """The time-of-day-eligible queued jobs in priority order (the
-        CONSERVATIVE planner's input), projected from ``_order``."""
-        ordered_key = (self._factors_version, self._membership_version)
-        if self._ordered_key != ordered_key:
-            self._ordered_jobs = [entry[3] for entry in self._order]
-            self._ordered_key = ordered_key
-        ordered = self._ordered_jobs
-        if self.timeofday is None or not self.timeofday.is_daytime(t):
-            # Nighttime (and free weekends): every queued job may start.
-            return ordered
-        # Daytime eligibility is a pure width filter, so the projection
-        # is reusable until the order or phase changes.
-        eligible_key = (ordered_key, True)
-        if self._eligible_key != eligible_key:
-            limit = self.timeofday.max_day_cpus
-            self._eligible_jobs = [j for j in ordered if j.cpus <= limit]
-            self._eligible_key = eligible_key
-        return self._eligible_jobs
+        """The eligible queued jobs in priority order, for the
+        CONSERVATIVE planner, which reserves every one of them.
+
+        Built on every pass that is not skipped: the bucket entries
+        keyed ``wt - f``, by day only those within the width limit, in
+        one sort that merges the buckets' sorted runs.  ``(submit_time,
+        job_id)`` right after the key gives exact key ties the tie-break
+        of :meth:`~PriorityPolicy.sort_key`, and jobs are never compared.
+        """
+        limit = self._day_limit(t)
+        factors = self._factors
+        entries: List[OrderEntry] = [
+            (wt - f, s, jid, job)
+            for cls, bucket in self._classes.items()
+            for f in (factors[cls],)
+            for wt, s, jid, job in bucket
+            if limit is None or job.cpus <= limit
+        ]
+        entries.sort()
+        return [entry[3] for entry in entries]
 
     def _startable_view(self, t: float, free_cpus: int) -> List[Job]:
         """The eligible jobs an EASY or NONE pass could start, in
@@ -405,9 +373,7 @@ class QueueScheduler(Scheduler):
         free count further.  The shadow comes from the same live
         claims, so the starts, and their order, are the same.
         """
-        limit = None
-        if self.timeofday is not None and self.timeofday.is_daytime(t):
-            limit = self.timeofday.max_day_cpus
+        limit = self._day_limit(t)
         factors = self._factors
         heads = []
         for cls, bucket in self._classes.items():
@@ -563,9 +529,6 @@ class QueueScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Shared internals
     # ------------------------------------------------------------------
-    def _eligible(self, job: Job, t: float) -> bool:
-        return self.timeofday is None or self.timeofday.eligible(job, t)
-
     def _estimate(self, job: Job) -> float:
         if self.predictor is not None:
             return self.predictor.estimate(job)

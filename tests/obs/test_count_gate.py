@@ -23,7 +23,7 @@ from repro.faults import FaultModel
 from repro.jobs import InterstitialProject
 from repro.machines import preset
 
-from tests.obs.golden_cases import GOLDEN_SEED, _trace
+from tests.obs.golden_cases import GOLDEN_SEED, _narrow_project, _trace
 
 _KEYS = ("events", "starts", "finishes", "scheduling_passes", "pass_skips",
          "priority_rekeys", "backfill_starts", "fault_kills")
@@ -94,3 +94,22 @@ def test_native_replay_counts():
         "scheduling_passes": 64, "pass_skips": 14, "priority_rekeys": 16,
         "backfill_starts": 4, "fault_kills": 0,
     }
+
+
+def test_preemptible_continual_counts():
+    """The ``preemptible-continual-ross`` golden configuration
+    (CONSERVATIVE backfill; preemption kills the youngest members)."""
+    machine = preset("ross")
+    trace = _trace("ross", 5)
+    controller = InterstitialController(
+        machine, _narrow_project(machine, 1800.0), continual=True,
+        preemptible=True, checkpointing=True,
+    )
+    result = run_with_controller(machine, trace.jobs, controller,
+                                 horizon=trace.duration)
+    assert _counts(result) == {
+        "events": 214, "starts": 191, "finishes": 141,
+        "scheduling_passes": 78, "pass_skips": 20, "priority_rekeys": 22,
+        "backfill_starts": 0, "fault_kills": 0,
+    }
+    assert result.counters.preempt_kills == 50

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,6 +148,26 @@ class TestSelectConservative:
         # Only 4 in service.
         starts = select_conservative(0.0, [job], 4, [], est)
         assert starts == []
+
+    @pytest.mark.parametrize(
+        "releases",
+        [[(10.0, 4.0, 2)], [(10.0, 4.0, 1), (10.0, 4.0, 1)]],
+        ids=["cohort", "members"],
+    )
+    def test_depth_one_reservation_is_not_easy(self, releases):
+        """EASY's extra nodes are not a depth-1 reservation planner's
+        spare capacity, so no reservation-depth planner over
+        ``CapacityProfile`` can stand in for ``select_easy``."""
+        head = make_job(cpus=6, runtime=100.0)
+        narrow = make_job(cpus=2, runtime=50.0)
+        # 2 free plus the first 4-CPU member cover the head at t=10:
+        # only the covering member counts, so no node is extra.
+        assert shadow_of(6, 2.0, releases) == (10.0, 0.0)
+        assert select_easy(0.0, [head, narrow], 2, releases, est) == []
+        # Conservative reserves the head alone at t=10, and narrow fits
+        # beside it: 2 free before, 10 - 6 from then on.
+        starts = select_conservative(0.0, [head, narrow], 10, releases, est)
+        assert starts == [narrow]
 
 
 @settings(max_examples=40, deadline=None)
