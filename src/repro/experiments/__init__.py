@@ -1,12 +1,14 @@
 """Experiment drivers: one module per paper table/figure plus ablations.
 
-Every driver exposes ``run(ctx) -> TableResult`` producing exactly the
-rows/series the paper reports (at a configurable scale) and is wrapped
-by a benchmark in ``benchmarks/`` and by the ``repro`` CLI.  ``ctx`` is
-a :class:`~repro.experiments.context.RunContext` — the explicit bundle
-of scale preset, seeded RNG streams and content-addressed run store
-that replaced the old module-global caches; passing a bare
-``ExperimentScale`` (or nothing) builds a fresh private context.
+Every driver is ``run(ctx: RunContext) -> TableResult``, producing
+exactly the rows/series the paper reports (at a configurable scale),
+and is reached through its :mod:`~repro.experiments.registry` entry:
+the ``repro`` CLI, the report generator, the parallel executor and the
+serving workers all call ``SPECS[name].driver(ctx)``.  ``ctx`` is a
+:class:`~repro.experiments.context.RunContext` — the explicit bundle of
+scale preset, seeded RNG streams and content-addressed run store that
+replaced the old module-global caches; every engine run a driver makes
+passes ``**ctx.engine_options()``.
 
 Scaling: the paper's logs span 40-84 days and its largest project is a
 million jobs; ``ExperimentScale`` shrinks log length, job counts and
@@ -24,10 +26,7 @@ from repro.experiments.common import (
     TableResult,
     rng_for,
 )
-from repro.experiments.context import (
-    RunContext,
-    as_context,
-)
+from repro.experiments.context import RunContext
 
 __all__ = [
     "ExperimentScale",
@@ -36,5 +35,4 @@ __all__ = [
     "TableResult",
     "rng_for",
     "RunContext",
-    "as_context",
 ]

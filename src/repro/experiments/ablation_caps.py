@@ -7,13 +7,13 @@ throughput and overall utilization vs native median/mean wait.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
 
 MACHINE = "blue_mountain"
@@ -22,8 +22,7 @@ RUNTIME_1GHZ = 120.0
 CAPS: Tuple[float, ...] = (0.82, 0.86, 0.90, 0.94, 0.98)
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     result = TableResult(
         exp_id="ablation_caps",
@@ -71,11 +70,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "throughput and overall utilization at growing native waits."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

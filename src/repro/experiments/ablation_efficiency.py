@@ -12,15 +12,13 @@ One row per machine for the standard 32-CPU x 120 s @ 1 GHz stream.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.omniscient import pack_continual
 from repro.experiments.common import (
     MACHINE_LABELS,
     MACHINE_ORDER,
     TableResult,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.jobs import JobKind
 from repro.units import normalize_runtime
 
@@ -28,8 +26,7 @@ CPUS = 32
 RUNTIME_1GHZ = 120.0
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     result = TableResult(
         exp_id="ablation_efficiency",
@@ -77,11 +74,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "bound by definition cannot."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,14 +15,14 @@ and measures native impact and interstitial throughput of a continual
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.runners import run_continual
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
 from repro.jobs import InterstitialProject, Job
 
@@ -45,8 +45,7 @@ def _with_estimates(jobs: List[Job], mode: str) -> List[Job]:
     return out
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     trace = ctx.trace_for(MACHINE)
@@ -79,9 +78,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
                 _with_estimates(trace.jobs, mode),
                 project,
                 horizon=trace.duration,
-                check_invariants=ctx.check_invariants,
-                recorder=ctx.recorder,
-                timers=ctx.timers,
+                **ctx.engine_options(),
             )
         stats = column_stats(res)
         result.rows.append(
@@ -102,11 +99,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "submission."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

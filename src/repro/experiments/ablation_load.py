@@ -15,7 +15,7 @@ wait cost.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
 from repro.jobs import InterstitialProject
 from repro.theory.queueing import mmc_mean_wait
@@ -36,8 +36,7 @@ CPUS = 32
 RUNTIME_1GHZ = 120.0
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     result = TableResult(
@@ -69,8 +68,9 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
     )
     slots = max(1, int(round(machine.cpus / mean_width)))
     # Sweep native offered load.
+    traces = {}
     for load in NATIVE_LOADS:
-        trace = synthetic_trace_for(
+        trace = traces[load] = synthetic_trace_for(
             MACHINE,
             rng=ctx.rng_for(f"load:{load}"),
             scale=scale.trace_scale,
@@ -80,9 +80,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
             machine,
             trace.jobs,
             horizon=trace.duration,
-            check_invariants=ctx.check_invariants,
-            recorder=ctx.recorder,
-            timers=ctx.timers,
+            **ctx.engine_options(),
         )
         stats = column_stats(res)
         mmc = mmc_mean_wait(slots, load, 2.5 * 3600.0)
@@ -98,12 +96,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         )
         result.data[f"native:{load}"] = stats
     # Baseline load + continual interstitial reaching high overall util.
-    base_trace = synthetic_trace_for(
-        MACHINE,
-        rng=ctx.rng_for(f"load:{NATIVE_LOADS[1]}"),
-        scale=scale.trace_scale,
-        utilization=NATIVE_LOADS[1],
-    )
+    base_trace = traces[NATIVE_LOADS[1]]
     project = InterstitialProject(
         n_jobs=1, cpus_per_job=CPUS, runtime_1ghz=RUNTIME_1GHZ
     )
@@ -112,9 +105,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         base_trace.jobs,
         project,
         horizon=base_trace.duration,
-        check_invariants=ctx.check_invariants,
-        recorder=ctx.recorder,
-        timers=ctx.timers,
+        **ctx.engine_options(),
     )
     stats = column_stats(boosted)
     result.rows.append(
@@ -135,11 +126,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "waits up, as the M/M/c reference column also predicts."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,15 +10,12 @@ user estimates.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.controller import InterstitialController
-from repro.core.runners import run_with_controller
+from repro.core.runners import run_continual
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
 from repro.jobs import InterstitialProject
 from repro.sched import PerUserRuntimePredictor, lsf_scheduler
@@ -28,8 +25,7 @@ CPUS = 32
 RUNTIME_1GHZ = 120.0
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     trace = ctx.trace_for(MACHINE)
@@ -59,18 +55,13 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
             # Blue Mountain's own scheduler: the context's continual run.
             res, _ = ctx.continual_result_for(MACHINE, CPUS, RUNTIME_1GHZ)
         else:
-            controller = InterstitialController(
-                machine=machine, project=project, continual=True
-            )
-            res = run_with_controller(
+            res, _ = run_continual(
                 machine,
                 trace.jobs,
-                controller,
+                project,
                 scheduler=lsf_scheduler(predictor=predictor),
                 horizon=trace.duration,
-                check_invariants=ctx.check_invariants,
-                recorder=ctx.recorder,
-                timers=ctx.timers,
+                **ctx.engine_options(),
             )
         stats = column_stats(res)
         result.rows.append(
@@ -89,11 +80,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "better interstitial throughput."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

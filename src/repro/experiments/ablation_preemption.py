@@ -11,15 +11,13 @@ CPU-time is thrown away.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.controller import InterstitialController
 from repro.core.runners import run_with_controller
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
 from repro.jobs import InterstitialProject
 
@@ -28,8 +26,7 @@ CPUS = 32
 RUNTIME_1GHZ = 120.0
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     trace = ctx.trace_for(MACHINE)
@@ -78,9 +75,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
                 trace.jobs,
                 controller,
                 horizon=trace.duration,
-                check_invariants=ctx.check_invariants,
-                recorder=ctx.recorder,
-                timers=ctx.timers,
+                **ctx.engine_options(),
             )
         stats = column_stats(res)
         # One addition per killed member, in kill order.
@@ -125,11 +120,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "baseline at the cost of wasted interstitial CPU-time."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,11 +9,11 @@ with the analytic breakage prediction relative to the 1-CPU project.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.runners import run_omniscient_samples
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.jobs import InterstitialProject
 from repro.theory import breakage_factor
 from repro.units import HOUR
@@ -24,8 +24,7 @@ PETA_CYCLES = 7.7
 RUNTIME_1GHZ = 120.0
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     native = ctx.native_result_for(MACHINE)
@@ -87,11 +86,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "breakage effect, dramatic only near the pool size."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,10 +15,8 @@ damage across users (nobody wants the cascade landing on one group).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import (
     CONTINUAL_CPUS,
     CONTINUAL_RUNTIMES_1GHZ,
@@ -31,8 +29,7 @@ from repro.units import normalize_runtime
 MACHINE = "blue_mountain"
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     baseline = ctx.native_result_for(MACHINE)
@@ -86,11 +83,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "blow-up."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

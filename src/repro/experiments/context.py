@@ -11,7 +11,9 @@ object that owns
 * deterministic per-label RNG streams derived from the scale seed,
 * a content-addressed :class:`~repro.store.RunStore` of simulation
   products (optionally disk-backed, so separate processes share runs),
-* the engine invariant-checking flag (previously a mutable global).
+* the engine invariant-checking flag (previously a mutable global),
+  trace recorder and phase timers, which :meth:`RunContext.engine_options`
+  hands to every engine run the context or a driver makes.
 
 Drivers take ``ctx`` and ask it for traces and runs; nothing below the
 driver layer reaches into module globals, which is what makes the
@@ -21,19 +23,19 @@ parallel executor (:mod:`repro.experiments.executor`) safe.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.core.controller import InterstitialController
-from repro.core.runners import run_native, run_with_controller
+from repro.core.runners import run_continual, run_native
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
     INTERSTITIAL_USER,
     TableResult,
     rng_for,
 )
-from repro.experiments.config import ExperimentScale, current_scale
+from repro.experiments.config import ExperimentScale
 from repro.faults import FaultModel, RetryPolicy
 from repro.jobs import InterstitialProject
 from repro.machines import Machine, preset
@@ -125,6 +127,16 @@ class RunContext:
         not preset names, so same-named presets can never collide)."""
         return dict(asdict(self.scale))
 
+    def engine_options(self) -> Dict[str, Any]:
+        """The engine keywords of every run this context makes, cached
+        or direct: the invariant validator, the trace recorder and the
+        phase timers (observability only, so never part of a run key)."""
+        return {
+            "check_invariants": self.check_invariants,
+            "recorder": self.recorder,
+            "timers": self.timers,
+        }
+
     # ------------------------------------------------------------------
     # Machines and traces
     # ------------------------------------------------------------------
@@ -182,9 +194,7 @@ class RunContext:
                 faults=faults,
                 retry=retry,
                 horizon=trace.duration,
-                check_invariants=self.check_invariants,
-                recorder=self.recorder,
-                timers=self.timers,
+                **self.engine_options(),
             )
 
         return self.store.get_or_compute(payload, compute)
@@ -224,24 +234,16 @@ class RunContext:
                 user=INTERSTITIAL_USER,
                 group=INTERSTITIAL_USER,
             )
-            controller = InterstitialController(
-                machine=machine,
-                project=project,
-                continual=True,
-                max_utilization=max_utilization,
-            )
-            result = run_with_controller(
+            return run_continual(
                 machine,
                 trace.jobs,
-                controller,
+                project,
+                max_utilization=max_utilization,
                 faults=faults,
                 retry=retry,
                 horizon=trace.duration,
-                check_invariants=self.check_invariants,
-                recorder=self.recorder,
-                timers=self.timers,
+                **self.engine_options(),
             )
-            return result, controller
 
         return self.store.get_or_compute(payload, compute)
 
@@ -270,24 +272,3 @@ class RunContext:
             self._artifacts[name] = build()
         return self._artifacts[name]
 
-
-def as_context(
-    ctx: Optional[Union[RunContext, ExperimentScale]] = None,
-) -> RunContext:
-    """Coerce a driver argument to a :class:`RunContext`.
-
-    Accepts a ready context (returned as-is), a bare
-    :class:`ExperimentScale` (wrapped with a fresh private store — fine
-    for one-off driver calls; share one context when running several
-    drivers), or ``None`` (the environment-selected scale).
-    """
-    if isinstance(ctx, RunContext):
-        return ctx
-    if isinstance(ctx, ExperimentScale):
-        return RunContext(scale=ctx)
-    if ctx is None:
-        return RunContext(scale=current_scale())
-    raise ConfigurationError(
-        f"expected RunContext, ExperimentScale or None, got "
-        f"{type(ctx).__name__}"
-    )

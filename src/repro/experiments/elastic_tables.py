@@ -23,9 +23,6 @@ stream rather than an empty machine.
 
 from __future__ import annotations
 
-import argparse
-from typing import Optional
-
 from repro.core.runners import run_with_controller
 from repro.elastic import ElasticitySpec, elastic_controller
 from repro.experiments.common import (
@@ -36,8 +33,7 @@ from repro.experiments.common import (
     fmt_h,
     fmt_k,
 )
-from repro.experiments.config import SCALES
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
 from repro.jobs import InterstitialProject, JobKind
 from repro.theory import breakage_factor, elastic_breakage_factor
@@ -93,8 +89,7 @@ def _theory_factor(policy: str, n_cpus: int, utilization: float) -> float:
     )
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     result = TableResult(
         exp_id="elastic_tables",
@@ -141,12 +136,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
                     start_time=start,
                 )
                 run_result = run_with_controller(
-                    machine,
-                    trace.jobs,
-                    controller,
-                    check_invariants=ctx.check_invariants,
-                    recorder=ctx.recorder,
-                    timers=ctx.timers,
+                    machine, trace.jobs, controller, **ctx.engine_options()
                 )
                 return run_result, controller
 
@@ -216,20 +206,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "otherwise have waited for."
     )
     return result
-
-
-def main(argv: Optional[list] = None) -> None:  # pragma: no cover - CLI glue
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run at the quick smoke-test scale instead of the "
-        "environment-selected one",
-    )
-    args = parser.parse_args(argv)
-    ctx = as_context(SCALES["quick"]) if args.quick else as_context(None)
-    print(run(ctx).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.experiments.config import ExperimentScale
 from repro.experiments.context import RunContext
@@ -91,16 +91,6 @@ def render_experiment(
     return SPECS[name].driver(ctx).render()
 
 
-def _render_one(
-    name: str,
-    scale: ExperimentScale,
-    store_path: Optional[str],
-    check_invariants: bool,
-) -> Tuple[str, str]:
-    """Report-executor worker: ``(name, rendered text)``."""
-    return name, render_experiment(name, scale, store_path, check_invariants)
-
-
 def run_experiments(
     names: Sequence[str],
     ctx: RunContext,
@@ -159,27 +149,19 @@ def _run_parallel(
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         while pending or running:
-            for name in [n for n in pending if ready(n)]:
-                pending.remove(name)
-                running[
-                    pool.submit(
-                        _render_one, name, scale, store_path,
-                        check_invariants,
-                    )
-                ] = name
-            if not running:
+            batch = [n for n in pending if ready(n)]
+            if not batch and not running:
                 # Remaining deps point at each other: break the cycle
                 # rather than deadlock (deps are only hints).
-                name = pending.pop(0)
-                running[
-                    pool.submit(
-                        _render_one, name, scale, store_path,
-                        check_invariants,
-                    )
-                ] = name
+                batch = pending[:1]
+            for name in batch:
+                pending.remove(name)
+                future = pool.submit(
+                    render_experiment, name, scale, store_path,
+                    check_invariants,
+                )
+                running[future] = name
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
-                running.pop(future)
-                name, text = future.result()
-                rendered[name] = text
+                rendered[running.pop(future)] = future.result()
     return rendered

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from repro.core.controller import InterstitialController
 from repro.core.runners import run_with_controller
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.faults import FaultModel, RetryPolicy
 from repro.jobs import InterstitialProject, JobKind
 from repro.units import DAY, HOUR
@@ -43,8 +43,7 @@ MTBF_SETTINGS: Tuple[Tuple[str, Optional[float], str], ...] = (
 )
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     trace = ctx.trace_for(MACHINE)
@@ -103,9 +102,7 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
                 ),
                 retry=retry,
                 horizon=trace.duration,
-                check_invariants=ctx.check_invariants,
-                recorder=ctx.recorder,
-                timers=ctx.timers,
+                **ctx.engine_options(),
             )
         killed_native = res.killed_count(JobKind.NATIVE)
         killed_inter = res.killed_count(JobKind.INTERSTITIAL)
@@ -147,11 +144,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "are deterministic in the scale seed."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,19 +8,18 @@ projects in gray, hugging the diagonal.  We emit the same point series
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.experiments import table2
 from repro.experiments.common import MACHINE_LABELS, MACHINE_ORDER, TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.metrics.ascii_plots import scatter
 from repro.theory import fit_affine
 from repro.units import HOUR
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
+def run(ctx: RunContext) -> TableResult:
     """Build the Figure 2 point series."""
-    ctx = as_context(ctx)
     t2 = table2.run(ctx)
     result = TableResult(
         exp_id="fig2",
@@ -64,11 +63,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "diagonal with the 32-CPU (gray) points slightly above."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,8 +10,6 @@ utilization stretches.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.sampling import sample_short_projects
@@ -19,7 +17,7 @@ from repro.experiments.common import (
     TableResult,
     scaled_kjobs,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.jobs import InterstitialProject, JobKind
 from repro.metrics.histograms import survival
 from repro.theory import ideal_makespan_for
@@ -34,8 +32,7 @@ CPUS = 32
 QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     native = ctx.native_result_for(MACHINE)
@@ -92,11 +89,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "persistently-high-utilization stretches."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,12 +10,10 @@ hourly series plus summary rows (mean, and the fraction of hours above
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.metrics.ascii_plots import sparkline
 from repro.metrics.utilization import hourly_utilization
 
@@ -24,8 +22,7 @@ CPUS = 32
 RUNTIME_1GHZ = 120.0
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     native = ctx.native_result_for(MACHINE)
     cont, _ = ctx.continual_result_for(MACHINE, CPUS, RUNTIME_1GHZ)
@@ -63,11 +60,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "near 1.0 except during outages."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

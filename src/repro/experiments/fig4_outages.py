@@ -9,14 +9,11 @@ exactly where scheduled while the rest of the series stays pinned.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.core.controller import InterstitialController
-from repro.core.runners import run_with_controller
+from repro.core.runners import run_continual
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.jobs import InterstitialProject
 from repro.metrics.ascii_plots import sparkline
 from repro.metrics.utilization import hourly_utilization
@@ -49,8 +46,7 @@ def outage_schedule(machine, duration: float) -> OutageSchedule:
     )
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     trace = ctx.trace_for(MACHINE)
@@ -58,18 +54,13 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
     project = InterstitialProject(
         n_jobs=1, cpus_per_job=CPUS, runtime_1ghz=RUNTIME_1GHZ
     )
-    controller = InterstitialController(
-        machine=machine, project=project, continual=True
-    )
-    result_run = run_with_controller(
+    result_run, _ = run_continual(
         machine,
         trace.jobs,
-        controller,
+        project,
         outages=outages,
         horizon=trace.duration,
-        check_invariants=ctx.check_invariants,
-        recorder=ctx.recorder,
-        timers=ctx.timers,
+        **ctx.engine_options(),
     )
     times, utils = hourly_utilization(result_run, t1=trace.duration)
 
@@ -110,11 +101,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "edges make them slightly wider than the windows themselves)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

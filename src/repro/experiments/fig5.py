@@ -9,10 +9,10 @@ interstitial runtime, with a small cascade tail reaching [4,6).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import (
     CONTINUAL_CPUS,
     CONTINUAL_RUNTIMES_1GHZ,
@@ -61,8 +61,7 @@ def build(exp_id: str, title: str, select, ctx: RunContext) -> TableResult:
     return result
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     result = build(
         "fig5",
@@ -78,11 +77,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "~1% cascade tail in [4,6)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,16 +8,13 @@ the ones whose backfill windows interstitial jobs poach.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.fig5 import build
 from repro.metrics.waits import largest_fraction
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     result = build(
         "fig6",
         "Figure 6: wait-time distribution of the 5% largest native jobs "
@@ -31,11 +28,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "the longer interstitial jobs."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

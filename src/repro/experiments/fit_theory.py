@@ -9,18 +9,15 @@ the paper's values.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments import table2
 from repro.experiments.common import MACHINE_ORDER, TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.theory import fit_affine
 from repro.theory.makespan import PAPER_FIT_INTERCEPT_S, PAPER_FIT_SLOPE
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
+def run(ctx: RunContext) -> TableResult:
     """Fit measured omniscient makespans against the ideal model."""
-    ctx = as_context(ctx)
     t2 = table2.run(ctx)
     xs, ys = [], []
     for m in MACHINE_ORDER:
@@ -54,11 +51,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "relatively larger, so a somewhat larger slope is expected."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

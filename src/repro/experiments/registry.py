@@ -61,33 +61,34 @@ def _specs(*entries: ExperimentSpec) -> Dict[str, ExperimentSpec]:
     return {spec.name: spec for spec in entries}
 
 
-#: CLI name -> declarative spec.
+#: CLI name -> declarative spec, in presentation order (the paper's
+#: tables and figures before the extensions).
 SPECS: Dict[str, ExperimentSpec] = _specs(
     ExperimentSpec("table1", table1.run),
     ExperimentSpec("table2", table2.run),
+    ExperimentSpec("fit-theory", fit_theory.run, deps=("table2",)),
     ExperimentSpec("table3", table3.run, deps=("table2",)),
+    ExperimentSpec("fig2", fig2.run, deps=("table2",)),
     ExperimentSpec("table4", table4.run),
+    ExperimentSpec("fig3", fig3.run),
     ExperimentSpec("table5", table5.run),
     ExperimentSpec("table6", table6.run, deps=("table5",)),
     ExperimentSpec("table7", table7.run),
     ExperimentSpec("table8-ross", table8_ross.run),
     ExperimentSpec("table8-limited", table8_limited.run, deps=("table6",)),
-    ExperimentSpec("fig2", fig2.run, deps=("table2",)),
-    ExperimentSpec("fig3", fig3.run),
     ExperimentSpec("fig4", fig4.run, deps=("table6",)),
     ExperimentSpec("fig4-outages", fig4_outages.run),
     ExperimentSpec("fault-ablation", fault_ablation.run),
     ExperimentSpec("fig5", fig5.run, deps=("table6",)),
     ExperimentSpec("fig6", fig6.run, deps=("fig5",)),
-    ExperimentSpec("fit-theory", fit_theory.run, deps=("table2",)),
     ExperimentSpec("cascade-analysis", cascade_analysis.run, deps=("table6",)),
-    ExperimentSpec("ablation-caps", ablation_caps.run, deps=("table8-limited",)),
-    ExperimentSpec("ablation-efficiency", ablation_efficiency.run),
     ExperimentSpec("ablation-estimates", ablation_estimates.run),
-    ExperimentSpec("ablation-load", ablation_load.run),
     ExperimentSpec("ablation-predictor", ablation_predictor.run),
     ExperimentSpec("ablation-preemption", ablation_preemption.run),
     ExperimentSpec("ablation-width", ablation_width.run),
+    ExperimentSpec("ablation-caps", ablation_caps.run, deps=("table8-limited",)),
+    ExperimentSpec("ablation-load", ablation_load.run),
+    ExperimentSpec("ablation-efficiency", ablation_efficiency.run),
     ExperimentSpec("elastic-tables", elastic_tables.run),
 )
 
@@ -96,33 +97,5 @@ EXPERIMENTS: Dict[str, Callable] = {
     name: spec.driver for name, spec in SPECS.items()
 }
 
-#: Paper artifacts in presentation order (tables/figures before
-#: extensions), used by the report generator.
-REPORT_ORDER = (
-    "table1",
-    "table2",
-    "fit-theory",
-    "table3",
-    "fig2",
-    "table4",
-    "fig3",
-    "table5",
-    "table6",
-    "table7",
-    "table8-ross",
-    "table8-limited",
-    "fig4",
-    "fig4-outages",
-    "fault-ablation",
-    "fig5",
-    "fig6",
-    "cascade-analysis",
-    "ablation-estimates",
-    "ablation-predictor",
-    "ablation-preemption",
-    "ablation-width",
-    "ablation-caps",
-    "ablation-load",
-    "ablation-efficiency",
-    "elastic-tables",
-)
+#: Presentation order, used by the report generator and ``repro all``.
+REPORT_ORDER = tuple(SPECS)

@@ -1,7 +1,7 @@
 """One-shot markdown report over every experiment.
 
 ``repro report [--scale NAME] [--jobs N]`` (or :func:`generate_report`)
-runs the full driver registry in paper order and writes a
+runs the full driver registry in presentation order and writes a
 self-contained markdown document with every regenerated table and
 figure — the machine-produced companion to the hand-written
 ``EXPERIMENTS.md``.
@@ -18,26 +18,20 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional, Sequence, Union
 
-from repro.experiments.config import ExperimentScale
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.executor import aggregate_counters, run_experiments
 from repro.experiments.registry import REPORT_ORDER
 from repro.obs import PhaseTimers
 
 
 def generate_report(
-    scale: Optional[ExperimentScale] = None,
+    ctx: RunContext,
     experiments: Optional[Sequence[str]] = None,
-    *,
-    ctx: Optional[RunContext] = None,
     jobs: int = 1,
 ) -> str:
-    """Run the selected experiments and render a markdown report.
-
-    Pass either a ``scale`` (a fresh private context is built) or a
-    full ``ctx``; ``jobs`` selects the number of worker processes.
-    """
-    ctx = ctx if ctx is not None else as_context(scale)
+    """Run the selected experiments (default: all, in ``REPORT_ORDER``)
+    in ``ctx`` and render a markdown report; ``jobs`` selects the number
+    of worker processes."""
     scale = ctx.scale
     names = list(experiments) if experiments is not None else list(
         REPORT_ORDER
@@ -111,17 +105,13 @@ def profile_experiments(
 
 def write_report(
     path: Union[str, Path],
-    scale: Optional[ExperimentScale] = None,
+    ctx: RunContext,
     experiments: Optional[Sequence[str]] = None,
-    *,
-    ctx: Optional[RunContext] = None,
     jobs: int = 1,
 ) -> Path:
     """Generate and write the report; returns the path."""
     path = Path(path)
     path.write_text(
-        generate_report(scale=scale, experiments=experiments, ctx=ctx,
-                        jobs=jobs),
-        encoding="utf-8",
+        generate_report(ctx, experiments, jobs), encoding="utf-8"
     )
     return path

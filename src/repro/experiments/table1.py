@@ -8,21 +8,18 @@ count — calibrated substitutes for the proprietary logs).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import (
     MACHINE_LABELS,
     MACHINE_ORDER,
     TableResult,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.machines.presets import targets
 from repro.units import DAY
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
+def run(ctx: RunContext) -> TableResult:
     """Build the Table 1 comparison for the given run context."""
-    ctx = as_context(ctx)
     scale = ctx.scale
     result = TableResult(
         exp_id="table1",
@@ -70,11 +67,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "the calibrated synthetic trace under the machine's scheduler."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

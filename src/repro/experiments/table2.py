@@ -13,7 +13,7 @@ share it) and the finished TableResult is memoized per context.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.runners import run_omniscient_samples
 from repro.experiments.common import (
@@ -23,7 +23,7 @@ from repro.experiments.common import (
     fmt_pm_h,
 )
 from repro.experiments.config import ExperimentScale
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.jobs import InterstitialProject
 from repro.theory import ideal_makespan_for
 
@@ -132,16 +132,7 @@ def _build(ctx: RunContext) -> TableResult:
     return result
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
+def run(ctx: RunContext) -> TableResult:
     """Build Table 2 (memoized per context — Table 3, Figure 2 and the
     §4.2 fit all reuse it)."""
-    ctx = as_context(ctx)
     return ctx.artifact("table2", lambda: _build(ctx))
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,22 +12,19 @@ import math
 
 import numpy as np
 
-from typing import Optional
-
 from repro.experiments import table2
 from repro.experiments.common import (
     MACHINE_LABELS,
     MACHINE_ORDER,
     TableResult,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.machines.presets import targets
 from repro.theory import breakage_factor
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
+def run(ctx: RunContext) -> TableResult:
     """Build Table 3 (reuses the Table 2 runs via the shared context)."""
-    ctx = as_context(ctx)
     t2 = table2.run(ctx)
     result = TableResult(
         exp_id="table3",
@@ -76,11 +73,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "1.105 for Ross / Blue Mountain / Blue Pacific."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,16 +16,13 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-
-from typing import Optional
-
 from repro.core.sampling import sample_short_projects
 from repro.experiments.common import (
     TableResult,
     fmt_pm_h,
     scaled_kjobs,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.jobs import JobKind
 
 #: (peta-cycles, kJobs, CPUs/job, runtime s @ 1 GHz) — the paper's rows.
@@ -67,9 +64,8 @@ def _cell(
     return fmt_pm_h(mean, std), samples.tolist()
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
+def run(ctx: RunContext) -> TableResult:
     """Build Table 4 for the given run context."""
-    ctx = as_context(ctx)
     scale = ctx.scale
     result = TableResult(
         exp_id="table4",
@@ -99,11 +95,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "cannot complete within the log."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

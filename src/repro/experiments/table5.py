@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from typing import Optional
-
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import (
     CONTINUAL_CPUS,
     CONTINUAL_RUNTIMES_1GHZ,
@@ -41,8 +39,7 @@ def _population_stats(jobs) -> dict:
     }
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     machine = ctx.machine_for(MACHINE)
     columns = [("Native only", ctx.native_result_for(MACHINE))]
@@ -99,11 +96,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "order of magnitude; medians move by ~one interstitial runtime."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -7,15 +7,12 @@ from .776 to ~.94 with native utilization and throughput unchanged; the
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import build
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     result = build("table6", "blue_mountain", ctx, "Blue Mountain")
     result.title = "Table 6: " + result.title
     result.notes.append(
@@ -24,11 +21,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "interstitial runtime (more for the longer jobs)."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,15 +8,12 @@ small free pool and 32-CPU breakage strangle the long-job stream.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import build
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     result = build("table7", "blue_pacific", ctx, "Blue Pacific")
     result.title = "Table 7: " + result.title
     result.notes.append(
@@ -24,11 +21,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "wait ~unchanged; far fewer long interstitial jobs than short."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

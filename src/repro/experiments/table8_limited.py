@@ -9,13 +9,13 @@ interstitial jobs.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
 
 MACHINE = "blue_mountain"
@@ -24,8 +24,7 @@ RUNTIME_1GHZ = 120.0
 CAPS: Tuple[float, ...] = (0.90, 0.95, 0.98)
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
     native_stats = column_stats(ctx.native_result_for(MACHINE))
     uncapped, _ = ctx.continual_result_for(MACHINE, CPUS, RUNTIME_1GHZ)
@@ -76,11 +75,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "cut overall utilization by 6/3/1 points vs uncapped."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

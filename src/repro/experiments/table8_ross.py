@@ -8,15 +8,12 @@ backfill make the big jobs the victims).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.common import TableResult
-from repro.experiments.context import RunContext, as_context
+from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import build
 
 
-def run(ctx: Optional[RunContext] = None) -> TableResult:
-    ctx = as_context(ctx)
+def run(ctx: RunContext) -> TableResult:
     result = build("table8_ross", "ross", ctx, "Ross")
     result.title = "Table 8a: " + result.title
     result.notes.append(
@@ -24,11 +21,3 @@ def run(ctx: Optional[RunContext] = None) -> TableResult:
         "long interstitial jobs specifically hurt the 5% largest jobs."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -166,40 +166,19 @@ class RunStore:
         self.counters = StoreCounters()
 
     # ------------------------------------------------------------------
-    # Counter attribute shims: counters live in one obs registry, but
-    # the historical flat attributes remain read/write.
+    # Read-only views of the hit/miss counters
     # ------------------------------------------------------------------
     @property
     def hits(self) -> int:
         return self.counters.hits
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self.counters.hits = value
-
     @property
     def disk_hits(self) -> int:
         return self.counters.disk_hits
 
-    @disk_hits.setter
-    def disk_hits(self, value: int) -> None:
-        self.counters.disk_hits = value
-
     @property
     def misses(self) -> int:
         return self.counters.misses
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self.counters.misses = value
-
-    @property
-    def lease_waits(self) -> int:
-        return self.counters.lease_waits
-
-    @lease_waits.setter
-    def lease_waits(self, value: int) -> None:
-        self.counters.lease_waits = value
 
     # ------------------------------------------------------------------
     @property
@@ -277,11 +256,11 @@ class RunStore:
         """
         key = content_key(payload)
         if key in self._memory:
-            self.hits += 1
+            self.counters.hits += 1
             return self._memory[key]
         value = self._read_disk(key)
         if value is not _MISS:
-            self.disk_hits += 1
+            self.counters.disk_hits += 1
             self._memory[key] = value
             return value
         if self._path is None:
@@ -294,16 +273,16 @@ class RunStore:
                     # disk miss and taking over the lease.
                     value = self._read_disk(key)
                     if value is not _MISS:
-                        self.disk_hits += 1
+                        self.counters.disk_hits += 1
                         self._memory[key] = value
                         return value
                     return self._compute_and_store(key, compute)
                 finally:
                     self._release_lease(claim)
-            self.lease_waits += 1
+            self.counters.lease_waits += 1
             value = self._wait_for_entry(key)
             if value is not _MISS:
-                self.disk_hits += 1
+                self.counters.disk_hits += 1
                 self._memory[key] = value
                 return value
             # Owner released without producing an entry (its compute
@@ -314,7 +293,7 @@ class RunStore:
         self._memory.clear()
 
     def _compute_and_store(self, key: str, compute: Callable[[], T]) -> T:
-        self.misses += 1
+        self.counters.misses += 1
         value = compute()
         self.put(key, value)
         return value

@@ -7,9 +7,12 @@ a store entry, and (c) knobs that cannot change results (invariant
 checking) never fragment the cache.
 """
 
+import pytest
 
+from repro.experiments import fig4_outages
 from repro.experiments.context import RunContext
 from repro.faults import FaultModel, RetryPolicy
+from repro.sim.state import ClusterState
 from repro.store import RunStore
 
 
@@ -126,3 +129,22 @@ class TestInvariantFlagSharesEntries:
         a = checked.native_result_for("ross")
         assert plain.native_result_for("ross") is a
         assert store.hits == 1
+
+
+class TestInvariantFlagReachesDriverRuns:
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_fig4_outages_direct_run(self, micro_scale, monkeypatch, flag):
+        """fig4-outages' only engine run is its own, outside the store:
+        the validator reaches it through ``engine_options()`` alone."""
+        calls = []
+        check = ClusterState.check_invariants
+
+        def counted(self, t):
+            calls.append(t)
+            return check(self, t)
+
+        monkeypatch.setattr(ClusterState, "check_invariants", counted)
+        fig4_outages.run(
+            RunContext(scale=micro_scale, check_invariants=flag)
+        )
+        assert (len(calls) > 0) is flag

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.context import RunContext
 from repro.experiments.registry import EXPERIMENTS, REPORT_ORDER
 from repro.experiments.report import generate_report, write_report
 
@@ -12,6 +13,38 @@ class TestRegistry:
 
     def test_no_duplicates_in_order(self):
         assert len(REPORT_ORDER) == len(set(REPORT_ORDER))
+
+    def test_report_order_is_presentation_order(self):
+        # Follows SPECS' declaration order, which fixes the report's
+        # section order and `repro all`.
+        assert REPORT_ORDER == (
+            "table1",
+            "table2",
+            "fit-theory",
+            "table3",
+            "fig2",
+            "table4",
+            "fig3",
+            "table5",
+            "table6",
+            "table7",
+            "table8-ross",
+            "table8-limited",
+            "fig4",
+            "fig4-outages",
+            "fault-ablation",
+            "fig5",
+            "fig6",
+            "cascade-analysis",
+            "ablation-estimates",
+            "ablation-predictor",
+            "ablation-preemption",
+            "ablation-width",
+            "ablation-caps",
+            "ablation-load",
+            "ablation-efficiency",
+            "elastic-tables",
+        )
 
     def test_paper_artifacts_present(self):
         for name in (
@@ -28,7 +61,7 @@ class TestRegistry:
 class TestReport:
     def test_generate_subset(self, micro_scale):
         text = generate_report(
-            scale=micro_scale, experiments=["table1"]
+            ctx=RunContext(scale=micro_scale), experiments=["table1"]
         )
         assert "# Reproduction report" in text
         assert "## table1" in text
@@ -37,12 +70,14 @@ class TestReport:
 
     def test_unknown_experiment(self, micro_scale):
         with pytest.raises(KeyError):
-            generate_report(scale=micro_scale, experiments=["table99"])
+            generate_report(
+                ctx=RunContext(scale=micro_scale), experiments=["table99"]
+            )
 
     def test_write_report(self, micro_scale, tmp_path):
         path = write_report(
             tmp_path / "report.md",
-            scale=micro_scale,
+            ctx=RunContext(scale=micro_scale),
             experiments=["table1", "table3"],
         )
         content = path.read_text(encoding="utf-8")

@@ -222,7 +222,7 @@ class TestInFlightLeases:
         thread.join(timeout=10.0)
         assert got == "owned"
         assert waiter_calls == []
-        assert waiter.lease_waits == 1
+        assert waiter.counters.lease_waits == 1
         assert waiter.disk_hits == 1
         assert waiter.misses == 0
 
@@ -300,12 +300,12 @@ class TestInFlightLeases:
         thread.join(timeout=10.0)
         assert got == "recovered"
         assert len(owner_error) == 1
-        assert waiter.lease_waits >= 1
+        assert waiter.counters.lease_waits >= 1
 
     def test_memory_store_never_touches_leases(self):
         store = RunStore()
         assert store.get_or_compute({"kind": "mem"}, lambda: 1) == 1
-        assert store.lease_waits == 0
+        assert store.counters.lease_waits == 0
 
 
 #: Child process for the multi-process stampede regression: sync on a
