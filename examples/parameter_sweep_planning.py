@@ -74,12 +74,11 @@ def main() -> None:
             breakage = breakage_factor(machine.cpus, utilization, width)
             corrected = theory * breakage
             makespans, _ = run_omniscient_samples(
-                machine,
+                baselines[name],
                 traces[name].jobs,
                 project,
                 n_samples=8,
                 rng=rng,
-                native_result=baselines[name],
             )
             measured = float(makespans.mean())
             rows.append(

@@ -62,12 +62,11 @@ def main() -> None:
     # Verify by simulation: omniscient makespans of both shapes.
     for project in (naive, reshaped):
         spans, _ = run_omniscient_samples(
-            machine,
+            baseline,
             trace.jobs,
             project,
             n_samples=6,
             rng=np.random.default_rng(1),
-            native_result=baseline,
         )
         print(
             f"\nsimulated omniscient makespan ({project.name}): "

@@ -67,8 +67,7 @@ def main() -> None:
         f"\nnative-only utilization: {native.native_utilization:.3f}"
     )
     omni_spans, _ = run_omniscient_samples(
-        machine, trace.jobs, project, n_samples=10,
-        rng=rng, native_result=native,
+        native, trace.jobs, project, n_samples=10, rng=rng,
     )
     print(
         "omniscient makespan: "

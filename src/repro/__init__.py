@@ -35,7 +35,6 @@ from repro.core import (
     run_with_controller,
     sample_short_projects,
 )
-from repro.core.runners import run_single_project
 from repro.elastic import (
     ElasticInterstitialController,
     ElasticitySpec,
@@ -147,7 +146,6 @@ __all__ = [
     "run_native",
     "run_continual",
     "run_with_controller",
-    "run_single_project",
     "run_omniscient_samples",
     # workload
     "Trace",

@@ -45,7 +45,7 @@ import sys
 from repro.errors import ConfigurationError
 from repro.experiments.config import SCALES, current_scale
 from repro.experiments.context import RunContext
-from repro.experiments.registry import EXPERIMENTS, REPORT_ORDER
+from repro.experiments.registry import REPORT_ORDER, SPECS
 from repro.experiments.report import profile_experiments, write_report
 from repro.obs import JsonlRecorder
 from repro.store import RunStore
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS)
+        choices=sorted(SPECS)
         + ["all", "list", "report", "profile", "serve"],
         help=(
             "experiment to run ('all' runs everything, 'list' "
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment == "list":
-        for name in sorted(EXPERIMENTS):
+        for name in sorted(SPECS):
             print(name)
         return 0
     if args.target is not None and args.experiment != "profile":
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         if args.target is None:
             parser.error("profile needs a target experiment, e.g. "
                          "'repro profile table2'")
-        if args.target != "all" and args.target not in EXPERIMENTS:
+        if args.target != "all" and args.target not in SPECS:
             raise ConfigurationError(
                 f"unknown experiment {args.target!r}; see 'repro list'"
             )
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         ctx.recorder = recorder
     try:
         for name in _experiment_names(args.experiment):
-            result = EXPERIMENTS[name](ctx)
+            result = SPECS[name].driver(ctx)
             print(result.render())
             print()
     finally:

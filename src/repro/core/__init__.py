@@ -7,13 +7,25 @@ Three ways to exploit the interstices:
   ``floor(free / size)`` interstitial jobs when the queue is empty or
   the head job cannot start (by estimates) for longer than one
   interstitial runtime.  Supports finite projects, continual feeds
-  (``n_jobs=None``) and utilization caps (§4.3.2.2's "limited" mode).
+  (``continual=True``) and utilization caps (§4.3.2.2's "limited"
+  mode).  Its pass gate (dormant, exhausted, fault-throttled) and cap
+  headroom serve the elastic controller too.
 * :func:`~repro.core.omniscient.pack_project` — the §4.1 omniscient
   baseline: pack a project into the *exact* headroom profile of a
   native-only run, guaranteeing zero native impact by construction.
+  :func:`~repro.core.omniscient.pack_continual`, the zero-impact
+  harvest bound, runs the same greedy loop until a horizon instead of
+  a job count.
 * :func:`~repro.core.sampling.sample_short_projects` — the §4.3.1 trick
   of extracting statistically-many short-project makespans from a
   single continual run.
+
+The runners (:mod:`repro.core.runners`) wrap these into one call each:
+:func:`~repro.core.runners.run_with_controller` is the only one that
+builds an engine, :func:`~repro.core.runners.run_native` and
+:func:`~repro.core.runners.run_continual` delegate to it, and
+:func:`~repro.core.runners.run_omniscient_samples` packs a project into
+the native run it is given at random drop-in times.
 """
 
 from repro.core.base import InterstitialSource

@@ -23,8 +23,8 @@ finished as early as they actually did.
 
 The controller also implements the two §4.3.2 variants:
 
-* **continual** feeding (``n_jobs=None``): an unbounded stream, cut off
-  by the engine's horizon;
+* **continual** feeding (``continual=True``): an unbounded stream, cut
+  off by the engine's horizon;
 * **limited** feeding (``max_utilization``): submit only while the
   machine utilization *including the new interstitial jobs* stays below
   the cap — the §4.3.2.2 "Limiting Interstitial Jobs" policy.
@@ -258,14 +258,11 @@ class InterstitialController(InterstitialSource):
         """Records to start now: checkpointed fragments (records of
         one) ahead of one :class:`~repro.jobs.Cohort` of fresh members,
         copied from the controller's template and submitted at ``t``."""
-        if t < self.start_time or self.exhausted:
-            return Offer()
-        if t < self._throttled_until:
-            self._log(t, cluster, scheduler, 0, "fault_throttled")
+        if not self._may_submit(t, cluster, scheduler):
             return Offer()
         size = self.project.cpus_per_job
-        count = cluster.free_cpus // size
-        if count <= 0:
+        free = cluster.free_cpus
+        if free < size:
             self._log(t, cluster, scheduler, 0, "no_room")
             return Offer()
         # Figure-1 gate: only feed when the native queue is empty or the
@@ -276,15 +273,10 @@ class InterstitialController(InterstitialSource):
             if wall - t <= self.runtime:
                 self._log(t, cluster, scheduler, 0, "head_imminent")
                 return Offer()
-        if self.max_utilization is not None:
-            budget = (
-                math.floor(self.max_utilization * cluster.total_cpus)
-                - cluster.busy_cpus
-            )
-            count = min(count, budget // size)
-            if count <= 0:
-                self._log(t, cluster, scheduler, 0, "cap_blocked")
-                return Offer()
+        count = self._capped(cluster, free) // size
+        if count <= 0:
+            self._log(t, cluster, scheduler, 0, "cap_blocked")
+            return Offer()
         # Checkpointed fragments restart ahead of fresh jobs.
         records = Offer()
         fresh = count
@@ -313,6 +305,32 @@ class InterstitialController(InterstitialSource):
         self.n_submitted += submitted
         self._log(t, cluster, scheduler, submitted, "submitted")
         return records
+
+    # ------------------------------------------------------------------
+    def _may_submit(
+        self, t: float, cluster: ClusterState, scheduler: "Scheduler"
+    ) -> bool:
+        """The gate every offer passes first: nothing while the
+        controller is dormant (before ``start_time``) or exhausted, nor
+        while recent faults throttle it (logged ``fault_throttled``)."""
+        if t < self.start_time or self.exhausted:
+            return False
+        if t < self._throttled_until:
+            self._log(t, cluster, scheduler, 0, "fault_throttled")
+            return False
+        return True
+
+    def _capped(self, cluster: ClusterState, cpus: int) -> int:
+        """``cpus`` cut to the §4.3.2.2 cap's headroom,
+        ``floor(max_utilization * total) - busy`` (uncut without a
+        cap); the headroom is negative while the machine is above it."""
+        if self.max_utilization is None:
+            return cpus
+        return min(
+            cpus,
+            math.floor(self.max_utilization * cluster.total_cpus)
+            - cluster.busy_cpus,
+        )
 
     # ------------------------------------------------------------------
     def _log(

@@ -98,6 +98,57 @@ class OmniscientPacking:
         return StepFunction.from_deltas(times, deltas, base=0.0)
 
 
+def _pack(
+    native_result: SimResult,
+    width: float,
+    runtime: float,
+    start: float,
+    n_jobs: float = math.inf,
+    horizon: float = math.inf,
+) -> Tuple[List[Tuple[float, int]], float]:
+    """Greedy earliest-fit into the headroom of a native-only run.
+
+    From ``start``, at every decision instant (headroom breakpoint or
+    interstitial batch completion) before ``horizon``, start as many
+    ``width``-CPU jobs of ``runtime`` seconds as the window minimum
+    allows, until ``n_jobs`` are placed.  Returns the (start, count)
+    placements and the count left unplaced (nonzero only when the
+    horizon passed or the headroom stays flat with nothing running).
+    At least one bound must be finite: past the end of the log every
+    finish frees room for the next batch, so with neither the loop
+    never ends.
+    """
+    headroom = headroom_profile(native_result)
+    bp_times = headroom.times
+    t = start
+    in_use = 0.0
+    finish_heap: List[Tuple[float, float]] = []  # (finish, cpus)
+    placements: List[Tuple[float, int]] = []
+    remaining = n_jobs
+    while t < horizon:
+        while finish_heap and finish_heap[0][0] <= t:
+            in_use -= heapq.heappop(finish_heap)[1]
+        spare = headroom.min_over(t, t + runtime) - in_use
+        k = (
+            int(math.floor((spare + _EPS) / width))
+            if spare >= width - _EPS
+            else 0
+        )
+        k = min(k, remaining)
+        if k > 0:
+            placements.append((t, k))
+            remaining -= k
+            in_use += k * width
+            heapq.heappush(finish_heap, (t + runtime, k * width))
+            if remaining == 0:
+                break
+        idx = int(np.searchsorted(bp_times, t, side="right"))
+        next_bp = bp_times[idx] if idx < bp_times.size else math.inf
+        next_fin = finish_heap[0][0] if finish_heap else math.inf
+        t = min(next_bp, next_fin)
+    return placements, remaining
+
+
 def pack_continual(
     native_result: SimResult,
     cpus_per_job: int,
@@ -106,7 +157,7 @@ def pack_continual(
 ) -> Tuple[int, List[Tuple[float, int]]]:
     """Zero-impact harvest ceiling: how many (``cpus_per_job`` x
     ``runtime_s``) jobs fit into the native headroom with submissions
-    allowed until ``horizon``.
+    allowed until ``horizon`` (finite: the feed is unbounded).
 
     This is the omniscient counterpart of the continual §4.3.2 runs —
     an upper bound on what the fallible Figure-1 controller can push
@@ -118,41 +169,14 @@ def pack_continual(
         raise ConfigurationError(
             f"jobs of {cpus_per_job} CPUs exceed {machine.name}"
         )
-    if runtime_s <= 0 or horizon <= 0:
-        raise ConfigurationError("runtime_s and horizon must be positive")
-
-    headroom = headroom_profile(native_result)
-    width = float(cpus_per_job)
-    t = 0.0
-    in_use = 0.0
-    finish_heap: List[Tuple[float, float]] = []
-    placements: List[Tuple[float, int]] = []
-    total = 0
-    bp_times = headroom.times
-
-    while t < horizon:
-        while finish_heap and finish_heap[0][0] <= t:
-            in_use -= heapq.heappop(finish_heap)[1]
-        window_min = headroom.min_over(t, t + runtime_s)
-        spare = window_min - in_use
-        k = (
-            int(math.floor((spare + _EPS) / width))
-            if spare >= width - _EPS
-            else 0
+    if runtime_s <= 0 or not 0 < horizon < math.inf:
+        raise ConfigurationError(
+            "runtime_s must be positive and horizon positive and finite"
         )
-        if k > 0:
-            placements.append((t, k))
-            total += k
-            in_use += k * width
-            heapq.heappush(finish_heap, (t + runtime_s, k * width))
-        idx = int(np.searchsorted(bp_times, t, side="right"))
-        next_bp = bp_times[idx] if idx < bp_times.size else math.inf
-        next_fin = finish_heap[0][0] if finish_heap else math.inf
-        t_next = min(next_bp, next_fin)
-        if math.isinf(t_next):
-            break
-        t = t_next
-    return total, placements
+    placements, _ = _pack(
+        native_result, float(cpus_per_job), runtime_s, 0.0, horizon=horizon
+    )
+    return sum(count for _, count in placements), placements
 
 
 def pack_project(
@@ -174,53 +198,28 @@ def pack_project(
             f"project jobs ({project.cpus_per_job} CPUs) exceed "
             f"{machine.name} ({machine.cpus} CPUs)"
         )
-    if start_time < 0.0:
-        raise ConfigurationError(f"start_time must be >= 0: {start_time}")
+    if not 0.0 <= start_time < math.inf:
+        raise ConfigurationError(
+            f"start_time must be finite and >= 0: {start_time}"
+        )
 
-    headroom = headroom_profile(native_result)
-    width = float(project.cpus_per_job)
     r = project.runtime_on(machine)
-    remaining = project.n_jobs
-
-    t = start_time
-    in_use = 0.0
-    finish_heap: List[Tuple[float, float]] = []  # (finish, cpus)
-    placements: List[Tuple[float, int]] = []
-    last_finish = start_time
-    bp_times = headroom.times
-
-    while remaining > 0:
-        while finish_heap and finish_heap[0][0] <= t:
-            in_use -= heapq.heappop(finish_heap)[1]
-        window_min = headroom.min_over(t, t + r)
-        spare = window_min - in_use
-        k = int(math.floor((spare + _EPS) / width)) if spare >= width - _EPS else 0
-        k = min(k, remaining)
-        if k > 0:
-            placements.append((t, k))
-            remaining -= k
-            in_use += k * width
-            heapq.heappush(finish_heap, (t + r, k * width))
-            last_finish = t + r
-        if remaining == 0:
-            break
-        idx = int(np.searchsorted(bp_times, t, side="right"))
-        next_bp = bp_times[idx] if idx < bp_times.size else math.inf
-        next_fin = finish_heap[0][0] if finish_heap else math.inf
-        t_next = min(next_bp, next_fin)
-        if math.isinf(t_next):
-            # Flat headroom forever and nothing running: the machine is
-            # in steady state and we still cannot place — impossible
-            # given the width check above, so this is a genuine bug.
-            raise SimulationError(
-                "omniscient packing stalled with jobs remaining"
-            )
-        t = t_next
-
+    placements, remaining = _pack(
+        native_result,
+        float(project.cpus_per_job),
+        r,
+        start_time,
+        n_jobs=project.n_jobs,
+    )
+    if remaining > 0:
+        # Flat headroom forever and nothing running: the machine is in
+        # steady state and we still cannot place — impossible given the
+        # width check above, so this is a genuine bug.
+        raise SimulationError("omniscient packing stalled with jobs remaining")
     return OmniscientPacking(
         project=project,
         machine=machine,
         start_time=start_time,
         placements=tuple(placements),
-        finish_time=last_finish,
+        finish_time=placements[-1][0] + r,
     )

@@ -1,23 +1,28 @@
 """High-level one-call experiment runners.
 
-These wrap machine presets, scheduler construction, trace copying and
-the engine into the handful of configurations the paper evaluates.  All
-runners copy the input trace so the same trace can be replayed through
-many configurations, and all accept ``check_invariants`` so callers
-(e.g. a :class:`~repro.experiments.context.RunContext` honouring the
-CLI's ``--check-invariants``) can enable the engine's accounting
-validator without any process-global switch.
+:func:`run_with_controller` is the one place an
+:class:`~repro.sim.engine.Engine` is built: it copies the input trace
+(so the same trace can be replayed through many configurations), picks
+the machine's own scheduler unless one is given, and takes the
+engine's keywords — ``outages``, ``faults``, ``retry``, ``horizon``,
+``wake_interval``, ``check_invariants``, ``recorder`` and ``timers``.
+:func:`run_native` (no interstitial source) and :func:`run_continual`
+(the §4.3.2 feed) pass those keywords through to it, so callers (e.g.
+a :class:`~repro.experiments.context.RunContext` honouring the CLI's
+``--check-invariants``) enable the engine's accounting validator
+without any process-global switch.  :func:`run_omniscient_samples`
+runs no engine: it packs a project into the native run it is handed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.base import InterstitialSource
 from repro.core.controller import InterstitialController
 from repro.core.omniscient import OmniscientPacking, pack_project
-from repro.errors import ConfigurationError
 from repro.faults import FaultModel, RetryPolicy
 from repro.jobs import InterstitialProject, Job
 from repro.machines import Machine
@@ -37,43 +42,10 @@ def _trace_end(trace: Sequence[Job]) -> float:
     return max((job.submit_time for job in trace), default=0.0)
 
 
-def run_native(
-    machine: Machine,
-    trace: Sequence[Job],
-    scheduler: Optional[Scheduler] = None,
-    outages: Optional[OutageSchedule] = None,
-    faults: Optional[FaultModel] = None,
-    retry: Optional[RetryPolicy] = None,
-    horizon: Optional[float] = None,
-    wake_interval: Optional[float] = None,
-    check_invariants: bool = False,
-    recorder: Optional[TraceRecorder] = None,
-    timers: Optional[PhaseTimers] = None,
-) -> SimResult:
-    """Replay the native trace with no interstitial jobs (the baseline
-    every experiment compares against)."""
-    engine = Engine(
-        machine=machine,
-        scheduler=scheduler or scheduler_for(machine),
-        trace=_copy_trace(trace),
-        outages=outages,
-        faults=faults,
-        retry=retry,
-        config=SimConfig(
-            horizon=horizon,
-            wake_interval=wake_interval,
-            check_invariants=check_invariants,
-        ),
-        recorder=recorder,
-        timers=timers,
-    )
-    return engine.run()
-
-
 def run_with_controller(
     machine: Machine,
     trace: Sequence[Job],
-    controller: InterstitialController,
+    controller: Optional[InterstitialSource],
     scheduler: Optional[Scheduler] = None,
     outages: Optional[OutageSchedule] = None,
     faults: Optional[FaultModel] = None,
@@ -84,8 +56,9 @@ def run_with_controller(
     recorder: Optional[TraceRecorder] = None,
     timers: Optional[PhaseTimers] = None,
 ) -> SimResult:
-    """Replay the native trace alongside a configured interstitial
-    controller (finite project, continual or limited)."""
+    """Replay the native trace alongside an interstitial source (a
+    finite, continual or limited controller, or a composite of them);
+    ``controller=None`` replays the natives alone."""
     engine = Engine(
         machine=machine,
         scheduler=scheduler or scheduler_for(machine),
@@ -105,24 +78,27 @@ def run_with_controller(
     return engine.run()
 
 
+def run_native(
+    machine: Machine, trace: Sequence[Job], **options: Any
+) -> SimResult:
+    """Replay the native trace with no interstitial jobs (the baseline
+    every experiment compares against); ``options`` are
+    :func:`run_with_controller`'s keywords."""
+    return run_with_controller(machine, trace, None, **options)
+
+
 def run_continual(
     machine: Machine,
     trace: Sequence[Job],
     project: InterstitialProject,
     max_utilization: Optional[float] = None,
-    scheduler: Optional[Scheduler] = None,
-    outages: Optional[OutageSchedule] = None,
-    faults: Optional[FaultModel] = None,
-    retry: Optional[RetryPolicy] = None,
     horizon: Optional[float] = None,
-    wake_interval: Optional[float] = None,
-    check_invariants: bool = False,
-    recorder: Optional[TraceRecorder] = None,
-    timers: Optional[PhaseTimers] = None,
+    **options: Any,
 ) -> Tuple[SimResult, InterstitialController]:
     """Continual interstitial computing (§4.3.2): feed interstitial jobs
     from the start of the run until ``horizon`` (default: last native
-    submission), optionally under a utilization cap (§4.3.2.2)."""
+    submission), optionally under a utilization cap (§4.3.2.2);
+    ``options`` are :func:`run_with_controller`'s keywords."""
     controller = InterstitialController(
         machine=machine,
         project=project,
@@ -132,95 +108,28 @@ def run_continual(
     if horizon is None:
         horizon = _trace_end(trace)
     result = run_with_controller(
-        machine,
-        trace,
-        controller,
-        scheduler=scheduler,
-        outages=outages,
-        faults=faults,
-        retry=retry,
-        horizon=horizon,
-        wake_interval=wake_interval,
-        check_invariants=check_invariants,
-        recorder=recorder,
-        timers=timers,
-    )
-    return result, controller
-
-
-def run_single_project(
-    machine: Machine,
-    trace: Sequence[Job],
-    project: InterstitialProject,
-    start_time: float,
-    scheduler: Optional[Scheduler] = None,
-    outages: Optional[OutageSchedule] = None,
-    check_invariants: bool = False,
-    recorder: Optional[TraceRecorder] = None,
-    timers: Optional[PhaseTimers] = None,
-) -> Tuple[SimResult, InterstitialController]:
-    """Drop one finite project into the job stream at ``start_time``
-    (§4.3.1 without the continual-sampling shortcut)."""
-    controller = InterstitialController(
-        machine=machine,
-        project=project,
-        start_time=start_time,
-    )
-    result = run_with_controller(
-        machine,
-        trace,
-        controller,
-        scheduler=scheduler,
-        outages=outages,
-        check_invariants=check_invariants,
-        recorder=recorder,
-        timers=timers,
+        machine, trace, controller, horizon=horizon, **options
     )
     return result, controller
 
 
 def run_omniscient_samples(
-    machine: Machine,
+    native_result: SimResult,
     trace: Sequence[Job],
     project: InterstitialProject,
     n_samples: int = 20,
     rng: Optional[np.random.Generator] = None,
-    native_result: Optional[SimResult] = None,
-    scheduler: Optional[Scheduler] = None,
-    outages: Optional[OutageSchedule] = None,
-    faults: Optional[FaultModel] = None,
-    retry: Optional[RetryPolicy] = None,
-    check_invariants: bool = False,
 ) -> Tuple[np.ndarray, List[OmniscientPacking]]:
-    """The §4.1 experiment: pack the project omnisciently at
-    ``n_samples`` random start times within the native log; returns the
-    makespans (seconds) and the packings.
+    """The §4.1 experiment: pack the project omnisciently into the
+    native-only run ``native_result`` (which fixes the machine) at
+    ``n_samples`` random start times within the log of ``trace``;
+    returns the makespans (seconds) and the packings.
 
-    The (expensive) native-only simulation is run once and reused; pass
-    ``native_result`` to share it across project sizes.  ``faults`` and
-    ``retry`` shape that native timeline (omniscient sampling on a
-    faulty machine); they conflict with a pre-computed ``native_result``
-    — the caller must bake the fault model into the shared run instead
-    — so passing both raises :class:`ConfigurationError` rather than
-    silently ignoring the fault model.
+    The baseline is the caller's, so one native run serves every
+    project size, and a faulty or outage-ridden baseline is simply a
+    native run made with those keywords.
     """
-    if native_result is not None and (faults is not None or retry is not None):
-        raise ConfigurationError(
-            "faults/retry cannot be applied to a pre-computed "
-            "native_result; run the faulty baseline yourself (e.g. "
-            "run_native(..., faults=...)) and pass that as native_result"
-        )
     rng = rng or np.random.default_rng(0)
-    if native_result is None:
-        native_result = run_native(
-            machine,
-            trace,
-            scheduler=scheduler,
-            outages=outages,
-            faults=faults,
-            retry=retry,
-            check_invariants=check_invariants,
-        )
     t_end = _trace_end(trace)
     makespans = np.empty(n_samples)
     packings: List[OmniscientPacking] = []

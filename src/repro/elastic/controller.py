@@ -35,7 +35,7 @@ growth.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.core.controller import InterstitialController
 from repro.elastic.spec import ElasticitySpec, WidthPolicy
@@ -51,14 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class ElasticInterstitialController(InterstitialController):
     """Figure-1 feeding with moldable or malleable job widths.
 
-    Accepts the rigid controller's parameters (``n_jobs``,
-    ``continual``, ``max_utilization``, ``start_time``,
-    ``preemptible``, fault throttling, decision recording) plus the
-    :class:`~repro.elastic.spec.ElasticitySpec` selecting the width
-    policy and range.  ``checkpointing`` is not supported — malleable
-    shrink makes it moot (nothing is killed, so there is nothing to
-    checkpoint) and moldable fragments would change width across
-    restarts, breaking the fixed-quantum accounting.
+    Takes the :class:`~repro.elastic.spec.ElasticitySpec` selecting
+    the width policy and range, and forwards every other keyword
+    (``n_jobs``, ``continual``, ``max_utilization``, ``start_time``,
+    ``preemptible``, fault throttling, decision recording) to the rigid
+    controller.  ``checkpointing`` is not supported (passing it is a
+    ``TypeError``) — malleable shrink makes it moot (nothing is killed,
+    so there is nothing to checkpoint) and moldable fragments would
+    change width across restarts, breaking the fixed-quantum
+    accounting.
 
     Attributes
     ----------
@@ -74,15 +75,7 @@ class ElasticInterstitialController(InterstitialController):
         machine: Machine,
         project: InterstitialProject,
         spec: ElasticitySpec,
-        n_jobs: Optional[int] = None,
-        continual: bool = False,
-        max_utilization: Optional[float] = None,
-        start_time: float = 0.0,
-        preemptible: bool = False,
-        record_decisions: bool = False,
-        throttle_after_failures: Optional[int] = None,
-        throttle_window: float = 3600.0,
-        throttle_quiet_period: float = 3600.0,
+        **options: Any,
     ) -> None:
         if spec.is_rigid:
             raise ConfigurationError(
@@ -91,18 +84,7 @@ class ElasticInterstitialController(InterstitialController):
                 "elastic_controller factory) for RIGID"
             )
         super().__init__(
-            machine=machine,
-            project=project,
-            n_jobs=n_jobs,
-            continual=continual,
-            max_utilization=max_utilization,
-            start_time=start_time,
-            preemptible=preemptible,
-            checkpointing=False,
-            record_decisions=record_decisions,
-            throttle_after_failures=throttle_after_failures,
-            throttle_window=throttle_window,
-            throttle_quiet_period=throttle_quiet_period,
+            machine=machine, project=project, checkpointing=False, **options
         )
         self.spec = spec
         self.min_width, self.max_width = spec.resolve(project)
@@ -133,25 +115,14 @@ class ElasticInterstitialController(InterstitialController):
     def offer(
         self, t: float, cluster: ClusterState, scheduler: "Scheduler"
     ) -> Offer:
-        if t < self.start_time or self.exhausted:
+        if not self._may_submit(t, cluster, scheduler):
             return Offer()
-        if t < self._throttled_until:
-            self._log(t, cluster, scheduler, 0, "fault_throttled")
-            return Offer()
-        budget = cluster.free_cpus
-        capped = False
-        if self.max_utilization is not None:
-            headroom = (
-                math.floor(self.max_utilization * cluster.total_cpus)
-                - cluster.busy_cpus
-            )
-            if headroom < budget:
-                budget = headroom
-                capped = True
+        free = cluster.free_cpus
+        budget = self._capped(cluster, free)
         if budget < self.min_width:
             self._log(
                 t, cluster, scheduler, 0,
-                "cap_blocked" if capped else "no_room",
+                "cap_blocked" if budget < free else "no_room",
             )
             return Offer()
         queue_blocked = scheduler.queue_length > 0
@@ -226,13 +197,7 @@ class ElasticInterstitialController(InterstitialController):
             return []
         if t < self.start_time or t < self._throttled_until:
             return []
-        budget = cluster.free_cpus
-        if self.max_utilization is not None:
-            budget = min(
-                budget,
-                math.floor(self.max_utilization * cluster.total_cpus)
-                - cluster.busy_cpus,
-            )
+        budget = self._capped(cluster, cluster.free_cpus)
         if budget <= 0:
             return []
         requests: List[Tuple[Job, int]] = []

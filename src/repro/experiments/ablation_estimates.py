@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.runners import run_continual
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
 from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
-from repro.jobs import InterstitialProject, Job
+from repro.jobs import Job
+from repro.workload.trace import Trace
 
 MACHINE = "blue_mountain"
 CPUS = 32
@@ -47,11 +47,7 @@ def _with_estimates(jobs: List[Job], mode: str) -> List[Job]:
 
 def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
-    machine = ctx.machine_for(MACHINE)
     trace = ctx.trace_for(MACHINE)
-    project = InterstitialProject(
-        n_jobs=1, cpus_per_job=CPUS, runtime_1ghz=RUNTIME_1GHZ
-    )
     result = TableResult(
         exp_id="ablation_estimates",
         title=(
@@ -73,12 +69,11 @@ def run(ctx: RunContext) -> TableResult:
             # The trace's own estimates: the context's continual run.
             res, _ = ctx.continual_result_for(MACHINE, CPUS, RUNTIME_1GHZ)
         else:
-            res, _ = run_continual(
-                machine,
-                _with_estimates(trace.jobs, mode),
-                project,
-                horizon=trace.duration,
-                **ctx.engine_options(),
+            res, _ = ctx.continual_run(
+                MACHINE,
+                CPUS,
+                RUNTIME_1GHZ,
+                trace=Trace(_with_estimates(trace.jobs, mode), trace.duration),
             )
         stats = column_stats(res)
         result.rows.append(

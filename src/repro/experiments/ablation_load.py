@@ -19,14 +19,13 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.runners import run_continual, run_native
+from repro.core.runners import run_native
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
 from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
-from repro.jobs import InterstitialProject
 from repro.theory.queueing import mmc_mean_wait
 from repro.workload.synthetic import synthetic_trace_for
 
@@ -96,16 +95,8 @@ def run(ctx: RunContext) -> TableResult:
         )
         result.data[f"native:{load}"] = stats
     # Baseline load + continual interstitial reaching high overall util.
-    base_trace = traces[NATIVE_LOADS[1]]
-    project = InterstitialProject(
-        n_jobs=1, cpus_per_job=CPUS, runtime_1ghz=RUNTIME_1GHZ
-    )
-    boosted, _ = run_continual(
-        machine,
-        base_trace.jobs,
-        project,
-        horizon=base_trace.duration,
-        **ctx.engine_options(),
+    boosted, _ = ctx.continual_run(
+        MACHINE, CPUS, RUNTIME_1GHZ, trace=traces[NATIVE_LOADS[1]]
     )
     stats = column_stats(boosted)
     result.rows.append(

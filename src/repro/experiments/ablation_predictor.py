@@ -10,14 +10,12 @@ user estimates.
 
 from __future__ import annotations
 
-from repro.core.runners import run_continual
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
 from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
-from repro.jobs import InterstitialProject
 from repro.sched import PerUserRuntimePredictor, lsf_scheduler
 
 MACHINE = "blue_mountain"
@@ -27,11 +25,6 @@ RUNTIME_1GHZ = 120.0
 
 def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
-    machine = ctx.machine_for(MACHINE)
-    trace = ctx.trace_for(MACHINE)
-    project = InterstitialProject(
-        n_jobs=1, cpus_per_job=CPUS, runtime_1ghz=RUNTIME_1GHZ
-    )
     result = TableResult(
         exp_id="ablation_predictor",
         title=(
@@ -55,13 +48,11 @@ def run(ctx: RunContext) -> TableResult:
             # Blue Mountain's own scheduler: the context's continual run.
             res, _ = ctx.continual_result_for(MACHINE, CPUS, RUNTIME_1GHZ)
         else:
-            res, _ = run_continual(
-                machine,
-                trace.jobs,
-                project,
+            res, _ = ctx.continual_run(
+                MACHINE,
+                CPUS,
+                RUNTIME_1GHZ,
                 scheduler=lsf_scheduler(predictor=predictor),
-                horizon=trace.duration,
-                **ctx.engine_options(),
             )
         stats = column_stats(res)
         result.rows.append(

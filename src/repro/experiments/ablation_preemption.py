@@ -11,15 +11,12 @@ CPU-time is thrown away.
 
 from __future__ import annotations
 
-from repro.core.controller import InterstitialController
-from repro.core.runners import run_with_controller
 from repro.experiments.common import (
     TableResult,
     fmt_k,
 )
 from repro.experiments.context import RunContext
 from repro.experiments.continual_tables import column_stats
-from repro.jobs import InterstitialProject
 
 MACHINE = "blue_mountain"
 CPUS = 32
@@ -28,11 +25,6 @@ RUNTIME_1GHZ = 120.0
 
 def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
-    machine = ctx.machine_for(MACHINE)
-    trace = ctx.trace_for(MACHINE)
-    project = InterstitialProject(
-        n_jobs=1, cpus_per_job=CPUS, runtime_1ghz=RUNTIME_1GHZ
-    )
     result = TableResult(
         exp_id="ablation_preemption",
         title=(
@@ -63,19 +55,12 @@ def run(ctx: RunContext) -> TableResult:
                 MACHINE, CPUS, RUNTIME_1GHZ
             )
         else:
-            controller = InterstitialController(
-                machine=machine,
-                project=project,
-                continual=True,
+            res, controller = ctx.continual_run(
+                MACHINE,
+                CPUS,
+                RUNTIME_1GHZ,
                 preemptible=preemptible,
                 checkpointing=checkpointing,
-            )
-            res = run_with_controller(
-                machine,
-                trace.jobs,
-                controller,
-                horizon=trace.duration,
-                **ctx.engine_options(),
             )
         stats = column_stats(res)
         # One addition per killed member, in kill order.

@@ -52,7 +52,7 @@ def run(ctx: RunContext) -> TableResult:
             runtime_1ghz=RUNTIME_1GHZ,
         )
         makespans, _ = run_omniscient_samples(
-            machine,
+            native,
             trace.jobs,
             project,
             # The packer is cheap, so buy extra samples: width ratios
@@ -61,7 +61,6 @@ def run(ctx: RunContext) -> TableResult:
             # One shared salt: every width sees the same drop-in times,
             # so the ratio isolates breakage from start-time luck.
             rng=ctx.rng_for("width-sweep"),
-            native_result=native,
         )
         mean = float(makespans.mean())
         if base_mean is None:

@@ -28,19 +28,17 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
 import numpy as np
 
 from repro.core.controller import InterstitialController
-from repro.core.runners import run_continual, run_native
+from repro.core.runners import run_native, run_with_controller
 from repro.errors import ConfigurationError
-from repro.experiments.common import (
-    INTERSTITIAL_USER,
-    TableResult,
-    rng_for,
-)
+from repro.experiments.common import INTERSTITIAL_USER, rng_for
 from repro.experiments.config import ExperimentScale
 from repro.faults import FaultModel, RetryPolicy
 from repro.jobs import InterstitialProject
 from repro.machines import Machine, preset
 from repro.machines.presets import preset_names
 from repro.obs import PhaseTimers, TraceRecorder
+from repro.sched.base import Scheduler
+from repro.sim.outages import OutageSchedule
 from repro.sim.results import SimResult
 from repro.store import RunStore
 from repro.workload.synthetic import synthetic_trace_for
@@ -109,11 +107,6 @@ class RunContext:
     check_invariants: bool = False
     recorder: Optional[TraceRecorder] = None
     timers: Optional[PhaseTimers] = None
-    #: Per-context memo of finished driver artifacts (TableResults),
-    #: for drivers whose output other drivers consume (e.g. table2).
-    _artifacts: Dict[str, TableResult] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     # Deterministic streams and payload helpers
@@ -209,7 +202,8 @@ class RunContext:
         retry: Optional[RetryPolicy] = None,
     ) -> Tuple[SimResult, InterstitialController]:
         """The (store-cached) continual-interstitial run for one job
-        shape, optionally capped and/or on a faulty machine."""
+        shape, optionally capped and/or on a faulty machine, computed
+        by :meth:`continual_run`."""
         machine = self.machine_for(machine_name)
         payload = {
             "kind": "continual",
@@ -223,29 +217,66 @@ class RunContext:
             "faults": _fault_payload(faults),
             "retry": _retry_payload(retry),
         }
-
-        def compute() -> Tuple[SimResult, InterstitialController]:
-            trace = self.trace_for(machine_name)
-            project = InterstitialProject(
-                n_jobs=1,  # placeholder; the controller feeds continually
-                cpus_per_job=cpus_per_job,
-                runtime_1ghz=runtime_1ghz,
-                name=f"continual-{cpus_per_job}x{runtime_1ghz:.0f}",
-                user=INTERSTITIAL_USER,
-                group=INTERSTITIAL_USER,
-            )
-            return run_continual(
-                machine,
-                trace.jobs,
-                project,
-                max_utilization=max_utilization,
+        return self.store.get_or_compute(
+            payload,
+            lambda: self.continual_run(
+                machine_name,
+                cpus_per_job,
+                runtime_1ghz,
                 faults=faults,
                 retry=retry,
-                horizon=trace.duration,
-                **self.engine_options(),
-            )
+                max_utilization=max_utilization,
+            ),
+        )
 
-        return self.store.get_or_compute(payload, compute)
+    def continual_run(
+        self,
+        machine_name: str,
+        cpus_per_job: int,
+        runtime_1ghz: float,
+        trace: Optional[Trace] = None,
+        scheduler: Optional[Scheduler] = None,
+        outages: Optional[OutageSchedule] = None,
+        faults: Optional[FaultModel] = None,
+        retry: Optional[RetryPolicy] = None,
+        **controller: Any,
+    ) -> Tuple[SimResult, InterstitialController]:
+        """One continual-interstitial run (§4.3.2), never cached: a
+        continual :class:`InterstitialController` (``controller`` holds
+        its keywords: cap, preemption, fault throttling) feeds
+        ``cpus_per_job`` x ``runtime_1ghz`` jobs under the interstitial
+        user and group until ``trace.duration`` (default trace: the
+        context's own for the machine).
+
+        :meth:`continual_result_for` caches its plain shapes through
+        this method; drivers call it directly for their variant rows
+        (DESIGN §9)."""
+        machine = self.machine_for(machine_name)
+        if trace is None:
+            trace = self.trace_for(machine_name)
+        project = InterstitialProject(
+            n_jobs=1,  # placeholder; the controller feeds continually
+            cpus_per_job=cpus_per_job,
+            runtime_1ghz=runtime_1ghz,
+            name=f"continual-{cpus_per_job}x{runtime_1ghz:.0f}",
+            user=INTERSTITIAL_USER,
+            group=INTERSTITIAL_USER,
+        )
+        source = InterstitialController(
+            machine=machine, project=project, continual=True, **controller
+        )
+        result = run_with_controller(
+            machine,
+            trace.jobs,
+            source,
+            scheduler=scheduler,
+            outages=outages,
+            faults=faults,
+            retry=retry,
+            horizon=trace.duration,
+            **self.engine_options(),
+        )
+        return result, source
 
     # ------------------------------------------------------------------
     # Generic memoization hooks
@@ -260,15 +291,3 @@ class RunContext:
         full.setdefault("scale", self.scale_payload())
         full.setdefault("results", RESULT_FORMAT)
         return self.store.get_or_compute(full, compute)
-
-    def artifact(
-        self, name: str, build: Callable[[], TableResult]
-    ) -> TableResult:
-        """Per-context memo for a finished driver artifact (used when
-        one driver's TableResult feeds another, e.g. table2 -> table3).
-        In-memory only: artifacts can hold rich objects; the expensive
-        simulation products underneath go through the store."""
-        if name not in self._artifacts:
-            self._artifacts[name] = build()
-        return self._artifacts[name]
-

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.controller import InterstitialController
-from repro.core.runners import run_with_controller
 from repro.experiments.common import TableResult
 from repro.experiments.context import RunContext
 from repro.faults import FaultModel, RetryPolicy
-from repro.jobs import InterstitialProject, JobKind
+from repro.jobs import JobKind
 from repro.units import DAY, HOUR
 
 MACHINE = "blue_mountain"
@@ -45,11 +43,7 @@ MTBF_SETTINGS: Tuple[Tuple[str, Optional[float], str], ...] = (
 
 def run(ctx: RunContext) -> TableResult:
     scale = ctx.scale
-    machine = ctx.machine_for(MACHINE)
     trace = ctx.trace_for(MACHINE)
-    project = InterstitialProject(
-        n_jobs=1, cpus_per_job=CPUS, runtime_1ghz=RUNTIME_1GHZ
-    )
     retry = RetryPolicy(
         max_attempts=5,
         base_delay=60.0,
@@ -81,18 +75,10 @@ def run(ctx: RunContext) -> TableResult:
                 MACHINE, CPUS, RUNTIME_1GHZ
             )
         else:
-            controller = InterstitialController(
-                machine=machine,
-                project=project,
-                continual=True,
-                throttle_after_failures=8,
-                throttle_window=1.0 * HOUR,
-                throttle_quiet_period=2.0 * HOUR,
-            )
-            res = run_with_controller(
-                machine,
-                trace.jobs,
-                controller,
+            res, controller = ctx.continual_run(
+                MACHINE,
+                CPUS,
+                RUNTIME_1GHZ,
                 faults=FaultModel(
                     mtbf=mtbf,
                     mttr=4.0 * HOUR,
@@ -101,8 +87,9 @@ def run(ctx: RunContext) -> TableResult:
                     seed=scale.seed,
                 ),
                 retry=retry,
-                horizon=trace.duration,
-                **ctx.engine_options(),
+                throttle_after_failures=8,
+                throttle_window=1.0 * HOUR,
+                throttle_quiet_period=2.0 * HOUR,
             )
         killed_native = res.killed_count(JobKind.NATIVE)
         killed_inter = res.killed_count(JobKind.INTERSTITIAL)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.runners import run_continual
 from repro.experiments.common import TableResult
 from repro.experiments.context import RunContext
-from repro.jobs import InterstitialProject
 from repro.metrics.ascii_plots import sparkline
 from repro.metrics.utilization import hourly_utilization
 from repro.sim.outages import Outage, OutageSchedule
@@ -51,16 +49,8 @@ def run(ctx: RunContext) -> TableResult:
     machine = ctx.machine_for(MACHINE)
     trace = ctx.trace_for(MACHINE)
     outages = outage_schedule(machine, trace.duration)
-    project = InterstitialProject(
-        n_jobs=1, cpus_per_job=CPUS, runtime_1ghz=RUNTIME_1GHZ
-    )
-    result_run, _ = run_continual(
-        machine,
-        trace.jobs,
-        project,
-        outages=outages,
-        horizon=trace.duration,
-        **ctx.engine_options(),
+    result_run, _ = ctx.continual_run(
+        MACHINE, CPUS, RUNTIME_1GHZ, outages=outages
     )
     times, utils = hourly_utilization(result_run, t1=trace.duration)
 

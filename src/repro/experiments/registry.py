@@ -92,10 +92,5 @@ SPECS: Dict[str, ExperimentSpec] = _specs(
     ExperimentSpec("elastic-tables", elastic_tables.run),
 )
 
-#: CLI name -> driver ``run`` callable (derived view of :data:`SPECS`).
-EXPERIMENTS: Dict[str, Callable] = {
-    name: spec.driver for name, spec in SPECS.items()
-}
-
 #: Presentation order, used by the report generator and ``repro all``.
 REPORT_ORDER = tuple(SPECS)

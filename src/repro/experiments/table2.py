@@ -8,7 +8,7 @@ mean ± std makespan in hours over the samples.
 The driver also exposes the raw (ideal-theory, measured) point pairs
 that §4.2's fit, Table 3 and Figure 2 reuse — the point grid goes
 through the context's content-addressed store (so parallel workers
-share it) and the finished TableResult is memoized per context.
+share it), and every call rebuilds the table from those points.
 """
 
 from __future__ import annotations
@@ -61,17 +61,15 @@ def _compute_points(ctx: RunContext) -> Dict[str, List[Dict[str, float]]]:
         for m in MACHINE_ORDER:
             machine = ctx.machine_for(m)
             native = ctx.native_result_for(m)
-            trace = ctx.trace_for(m)
             makespans, _ = run_omniscient_samples(
-                machine,
-                trace.jobs,
+                native,
+                ctx.trace_for(m).jobs,
                 project,
                 n_samples=scale.omniscient_samples,
                 # Salt excludes the width so 1-CPU and 32-CPU projects
                 # of one size share drop-in times — the Table 3 ratio
                 # then isolates breakage from start-time luck.
                 rng=ctx.rng_for(f"table2:{m}:{nominal_peta}"),
-                native_result=native,
             )
             mean = float(makespans.mean())
             std = float(makespans.std(ddof=1)) if makespans.size > 1 else 0.0
@@ -92,7 +90,9 @@ def _compute_points(ctx: RunContext) -> Dict[str, List[Dict[str, float]]]:
     return points
 
 
-def _build(ctx: RunContext) -> TableResult:
+def run(ctx: RunContext) -> TableResult:
+    """Build Table 2 from the store-cached point grid (Table 3, Figure
+    2 and the §4.2 fit all call this and reuse the grid)."""
     scale = ctx.scale
     points = ctx.run_cached(
         {"kind": "artifact-data", "name": "table2-points"},
@@ -130,9 +130,3 @@ def _build(ctx: RunContext) -> TableResult:
         "Blue Pacific (breakage)."
     )
     return result
-
-
-def run(ctx: RunContext) -> TableResult:
-    """Build Table 2 (memoized per context — Table 3, Figure 2 and the
-    §4.2 fit all reuse it)."""
-    return ctx.artifact("table2", lambda: _build(ctx))

@@ -113,11 +113,6 @@ class Machine:
         """Machine capacity in tera-cycles per second (Table 1 "TCycles")."""
         return sum(g.tera_cycles_per_s for g in self.groups)
 
-    @property
-    def cycles_per_s(self) -> float:
-        """Machine capacity in cycles per second (N x C)."""
-        return self.cpus * self.clock_ghz * GHZ
-
     def fits(self, cpus: int) -> bool:
         """Whether a job of ``cpus`` processors can ever run here."""
         return 0 < cpus <= self.cpus

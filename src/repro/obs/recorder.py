@@ -100,20 +100,6 @@ class TraceRecord:
             payload["n"] = self.detail
         return json.dumps(payload, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, line: str) -> "TraceRecord":
-        """Parse one JSONL line back into a record."""
-        payload = json.loads(line)
-        return cls(
-            time=float(payload["t"]),
-            kind=str(payload["ev"]),
-            job_id=payload.get("job"),
-            cpus=payload.get("cpus"),
-            queue_depth=int(payload.get("q", 0)),
-            busy_cpus=int(payload.get("busy", 0)),
-            free_cpus=int(payload.get("free", 0)),
-            detail=payload.get("n"),
-        )
 
 
 class TraceRecorder(abc.ABC):

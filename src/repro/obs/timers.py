@@ -69,11 +69,6 @@ class PhaseTimers:
         """Phase -> accumulated stat, in first-seen order."""
         return dict(self._stats)
 
-    def total_seconds(self) -> float:
-        """Sum of all closed spans (phases may nest, so this can exceed
-        elapsed wall-clock)."""
-        return sum(s.total_s for s in self._stats.values())
-
     def merge(self, other: "PhaseTimers") -> "PhaseTimers":
         """Fold another timer set into this one; returns self."""
         for phase, stat in other._stats.items():

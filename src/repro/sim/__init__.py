@@ -12,7 +12,7 @@ from repro.sim.engine import Engine, SimConfig
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.outages import Outage, OutageSchedule
 from repro.sim.profile import CapacityProfile, StepFunction
-from repro.sim.results import SimResult, UsageSample
+from repro.sim.results import SimResult
 from repro.sim.state import ClusterState
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "CapacityProfile",
     "StepFunction",
     "SimResult",
-    "UsageSample",
     "ClusterState",
 ]

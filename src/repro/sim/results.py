@@ -22,16 +22,6 @@ from repro.sim.outages import OutageSchedule
 from repro.sim.profile import StepFunction
 
 
-@dataclass(frozen=True)
-class UsageSample:
-    """One instant of cluster occupancy (diagnostic stream)."""
-
-    time: float
-    native_busy: int
-    interstitial_busy: int
-    down: int
-
-
 @dataclass
 class SimResult:
     """Everything a simulation run produced.

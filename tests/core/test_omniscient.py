@@ -2,6 +2,8 @@
 packed interstitial usage never exceeds the native headroom anywhere."""
 
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,16 @@ class TestPackProject:
                                       runtime_1ghz=10.0)
         with pytest.raises(ConfigurationError):
             pack_project(result, project, start_time=-5.0)
+
+    @pytest.mark.parametrize("start", [math.inf, math.nan])
+    def test_rejects_unbounded_start(self, tiny_machine, start):
+        # A project dropped in at no finite time never starts: its
+        # makespan would read NaN.
+        result = native_run(tiny_machine, [])
+        project = InterstitialProject(n_jobs=1, cpus_per_job=1,
+                                      runtime_1ghz=10.0)
+        with pytest.raises(ConfigurationError):
+            pack_project(result, project, start_time=start)
 
     def test_usage_profile_conserves_work(self, tiny_machine):
         result = native_run(tiny_machine, [])

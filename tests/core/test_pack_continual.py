@@ -1,12 +1,17 @@
 """Tests for the omniscient continual harvest bound."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.core.omniscient import pack_continual
+from repro.core.omniscient import pack_continual, pack_project
 from repro.errors import ConfigurationError
+from repro.jobs import InterstitialProject
+from repro.machines import Machine
 from repro.sim.engine import Engine
 
-from tests.conftest import fcfs, make_job
+from tests.conftest import fcfs, make_job, random_native_trace
 
 
 def native_run(machine, jobs):
@@ -52,6 +57,14 @@ class TestPackContinual:
         with pytest.raises(ConfigurationError):
             pack_continual(result, 2, 10.0, 0.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_rejects_unbounded_horizon(self, tiny_machine, horizon):
+        # The feed is unbounded: past the end of the log every finish
+        # frees room for another batch, so only the horizon stops it.
+        result = native_run(tiny_machine, [])
+        with pytest.raises(ConfigurationError):
+            pack_continual(result, 2, 10.0, horizon)
+
     def test_placements_respect_headroom(self, small_machine, rng):
         from tests.conftest import random_native_trace
 
@@ -78,3 +91,33 @@ class TestPackContinual:
             assert (
                 headroom.sample(probes) - usage.sample(probes)
             ).min() >= -1e-6
+
+
+class TestAgreesWithPackProject:
+    """Both packers run one greedy loop: a finite project packed from
+    time 0 is the continual harvest up to the instant its last job
+    starts, where it may take only part of the batch."""
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_project_is_a_prefix_of_the_harvest(self, width):
+        machine = Machine(name="P", cpus=32, clock_ghz=1.0)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            result = native_run(
+                machine, random_native_trace(rng, machine, n_jobs=25)
+            )
+            project = InterstitialProject(
+                n_jobs=150, cpus_per_job=width, runtime_1ghz=400.0
+            )
+            packed = pack_project(result, project).placements
+            last = packed[-1][0]
+            _, harvest = pack_continual(
+                result,
+                width,
+                project.runtime_on(machine),
+                math.nextafter(last, math.inf),
+            )
+            assert len(packed) > 1
+            assert harvest[-1][0] == last
+            assert list(packed[:-1]) == harvest[:-1]
+            assert packed[-1][1] <= harvest[-1][1]

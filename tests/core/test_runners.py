@@ -7,10 +7,7 @@ from repro.core.runners import (
     run_continual,
     run_native,
     run_omniscient_samples,
-    run_single_project,
 )
-from repro.errors import ConfigurationError
-from repro.faults import FaultModel, RetryPolicy
 from repro.jobs import InterstitialProject, JobState
 from repro.machines import Machine
 
@@ -88,80 +85,19 @@ class TestRunContinual:
         )
 
 
-class TestRunSingleProject:
-    def test_project_completes(self, machine, trace):
-        project = InterstitialProject(n_jobs=40, cpus_per_job=2,
-                                      runtime_1ghz=50.0)
-        result, controller = run_single_project(
-            machine, trace, project, start_time=5000.0
-        )
-        assert controller.exhausted
-        inter = result.interstitial_jobs
-        assert len(inter) == 40
-        assert all(j.start_time >= 5000.0 for j in inter)
-
-
 class TestRunOmniscientSamples:
     def test_sample_count_and_determinism(self, machine, trace):
         project = InterstitialProject(n_jobs=30, cpus_per_job=2,
                                       runtime_1ghz=50.0)
         native = run_native(machine, trace)
         a, packs = run_omniscient_samples(
-            machine, trace, project, n_samples=5,
-            rng=np.random.default_rng(3), native_result=native,
+            native, trace, project, n_samples=5,
+            rng=np.random.default_rng(3),
         )
         b, _ = run_omniscient_samples(
-            machine, trace, project, n_samples=5,
-            rng=np.random.default_rng(3), native_result=native,
+            native, trace, project, n_samples=5,
+            rng=np.random.default_rng(3),
         )
         assert a.shape == (5,)
         assert np.array_equal(a, b)
         assert len(packs) == 5
-
-    def test_runs_native_when_missing(self, machine, trace):
-        project = InterstitialProject(n_jobs=5, cpus_per_job=2,
-                                      runtime_1ghz=50.0)
-        makespans, _ = run_omniscient_samples(
-            machine, trace, project, n_samples=3,
-            rng=np.random.default_rng(0),
-        )
-        assert (makespans > 0).all()
-
-    def test_faults_with_precomputed_native_rejected(self, machine, trace):
-        # A fault model cannot retroactively apply to a baseline that
-        # was already simulated; silently dropping it was the old bug.
-        project = InterstitialProject(n_jobs=5, cpus_per_job=2,
-                                      runtime_1ghz=50.0)
-        native = run_native(machine, trace)
-        faults = FaultModel(mtbf=20_000.0, mttr=500.0, seed=3)
-        with pytest.raises(ConfigurationError):
-            run_omniscient_samples(
-                machine, trace, project, n_samples=2,
-                native_result=native, faults=faults,
-            )
-        with pytest.raises(ConfigurationError):
-            run_omniscient_samples(
-                machine, trace, project, n_samples=2,
-                native_result=native,
-                retry=RetryPolicy(max_attempts=2, base_delay=10.0),
-            )
-
-    def test_faults_shape_internal_baseline(self, machine, trace):
-        # Without a pre-computed baseline the fault model must actually
-        # reach the native simulation: a crashy machine stretches the
-        # log, so omniscient makespans shift versus the healthy run.
-        project = InterstitialProject(n_jobs=20, cpus_per_job=2,
-                                      runtime_1ghz=50.0)
-        faults = FaultModel(
-            mtbf=2_000.0, mttr=1_000.0, cpus_per_node=8, seed=11
-        )
-        healthy, _ = run_omniscient_samples(
-            machine, trace, project, n_samples=4,
-            rng=np.random.default_rng(7),
-        )
-        faulty, _ = run_omniscient_samples(
-            machine, trace, project, n_samples=4,
-            rng=np.random.default_rng(7), faults=faults,
-            retry=RetryPolicy(max_attempts=3, base_delay=30.0),
-        )
-        assert not np.array_equal(healthy, faulty)

@@ -78,6 +78,25 @@ class TestHitEqualsColdCompute:
         assert fingerprint(unpickled) == fingerprint(written)
 
 
+class TestContinualRecipeIsShared:
+    def test_direct_run_equals_cached_run(self, micro_scale):
+        """``continual_result_for`` computes through ``continual_run``,
+        so a driver's direct run of the plain shape is the cached run."""
+        ctx = RunContext(scale=micro_scale)
+        direct, _ = ctx.continual_run("blue_mountain", 32, 120.0)
+        cached, _ = ctx.continual_result_for("blue_mountain", 32, 120.0)
+        assert direct is not cached
+        assert direct.counters.as_dict() == cached.counters.as_dict()
+
+        def records(result):
+            return [
+                (r.job_id, r.start_time, r.finish_time)
+                for r in result.finished_records
+            ]
+
+        assert records(direct) == records(cached)
+
+
 class TestKeySeparation:
     def test_fault_seeds_never_collide(self, micro_scale):
         ctx = RunContext(scale=micro_scale)

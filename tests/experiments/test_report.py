@@ -3,13 +3,13 @@
 import pytest
 
 from repro.experiments.context import RunContext
-from repro.experiments.registry import EXPERIMENTS, REPORT_ORDER
+from repro.experiments.registry import REPORT_ORDER, SPECS
 from repro.experiments.report import generate_report, write_report
 
 
 class TestRegistry:
     def test_report_order_covers_registry(self):
-        assert set(REPORT_ORDER) == set(EXPERIMENTS)
+        assert set(REPORT_ORDER) == set(SPECS)
 
     def test_no_duplicates_in_order(self):
         assert len(REPORT_ORDER) == len(set(REPORT_ORDER))
@@ -52,10 +52,10 @@ class TestRegistry:
             "table6", "table7", "table8-ross", "table8-limited",
             "fig2", "fig3", "fig4", "fig5", "fig6", "fit-theory",
         ):
-            assert name in EXPERIMENTS
+            assert name in SPECS
 
     def test_all_runners_callable(self):
-        assert all(callable(fn) for fn in EXPERIMENTS.values())
+        assert all(callable(spec.driver) for spec in SPECS.values())
 
 
 class TestReport:

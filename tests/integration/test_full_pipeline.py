@@ -52,12 +52,11 @@ class TestOmniscientHasZeroNativeImpact:
             n_jobs=400, cpus_per_job=32, runtime_1ghz=120.0
         )
         _, packings = run_omniscient_samples(
-            machine,
+            native,
             trace.jobs,
             project,
             n_samples=3,
             rng=np.random.default_rng(0),
-            native_result=native,
         )
         headroom = headroom_profile(native)
         for packing in packings:
@@ -76,12 +75,11 @@ class TestFallibleWorsensMakespans:
             n_jobs=300, cpus_per_job=32, runtime_1ghz=120.0
         )
         omni, _ = run_omniscient_samples(
-            machine,
+            native,
             trace.jobs,
             project,
             n_samples=5,
             rng=np.random.default_rng(1),
-            native_result=native,
         )
         cont, _ = run_continual(
             machine, trace.jobs, project, horizon=trace.duration

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.common import TableResult
 from repro.experiments.config import SCALES, ExperimentScale
+from repro.experiments.registry import SPECS
 
 #: A scale small enough to run multi-simulation drivers in a CLI test.
 MICRO = ExperimentScale(
@@ -25,7 +28,7 @@ MICRO = ExperimentScale(
 class TestParser:
     def test_known_experiments_registered(self):
         for name in ("table1", "table2", "fig5", "ablation-caps"):
-            assert name in EXPERIMENTS
+            assert name in SPECS
 
     def test_parser_accepts_experiment(self):
         args = build_parser().parse_args(["table1"])
@@ -129,6 +132,22 @@ class TestMain:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "Blue Mt." in out
+
+    def test_runs_the_registered_driver(self, capsys, monkeypatch):
+        # A driver replaced in SPECS (as a tracing harness does) is the
+        # one `repro <experiment>` runs.
+        def stub(ctx):
+            return TableResult(exp_id="stub", title="stub driver ran",
+                               headers=["scale"], rows=[[ctx.scale.name]])
+
+        monkeypatch.setitem(
+            SPECS, "table1", dataclasses.replace(SPECS["table1"],
+                                                 driver=stub)
+        )
+        assert main(["table1", "--scale", "quick"]) == 0
+        out = capsys.readouterr().out
+        assert "stub driver ran" in out
+        assert "Table 1" not in out
 
     def test_store_dir_populated(self, capsys, tmp_path):
         store = tmp_path / "runs"
